@@ -177,19 +177,19 @@ branchAccuracy(const std::string &source, opt::OptLevel level,
 
     struct Bp : sim::ExecObserver
     {
-        std::unique_ptr<sim::BranchPredictor> pred;
+        sim::BranchPredictor pred;
+        explicit Bp(const std::string &name) : pred(name) {}
         void onInstruction(int, const isa::MInst &) override {}
         void onMemAccess(int, uint64_t, uint32_t, bool, uint64_t) override
         {}
         void
         onBranch(int pc, bool taken) override
         {
-            pred->branch(static_cast<uint64_t>(pc), taken);
+            pred.branch(static_cast<uint64_t>(pc), taken);
         }
-    } obs;
-    obs.pred = sim::makePredictor(predictor);
+    } obs(predictor);
     sim::execute(prog, &obs);
-    return obs.pred->stats().accuracy();
+    return obs.pred.stats().accuracy();
 }
 
 /** Dynamic instruction count at a level (x86). */

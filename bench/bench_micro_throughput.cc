@@ -11,6 +11,9 @@
 #include "bench_common.hh"
 
 #include "gen/registry.hh"
+#include "oracle/core_model.hh"
+#include "oracle/interpreter.hh"
+#include "oracle/profiler.hh"
 #include "sim/decoded_program.hh"
 #include "sim/timed_core.hh"
 #include "similarity/report.hh"
@@ -50,13 +53,13 @@ BENCHMARK(BM_InterpreterThroughput);
 void
 BM_ReferenceInterpreterThroughput(benchmark::State &state)
 {
-    // The golden decode-per-step interpreter the differential tests
+    // The reference decode-per-step interpreter the differential tests
     // compare against — the baseline every predecoded number beats.
     ir::Module m = lang::compile(kernelSrc, "k");
     auto prog = isa::lower(m, isa::targetX86());
     uint64_t insts = 0;
     for (auto _ : state) {
-        auto stats = sim::executeReference(prog);
+        auto stats = oracle::executeReference(prog);
         insts += stats.instructions;
         benchmark::DoNotOptimize(stats.exitCode);
     }
@@ -127,9 +130,9 @@ BENCHMARK(BM_GeneratedPointerChaseThroughput);
 void
 BM_InstrumentedThroughput(benchmark::State &state)
 {
-    // The fused profiling mode: dense per-PC counters + inlined cache,
-    // no observer. This is the retired-instruction rate profiling pays
-    // once decode is amortized.
+    // The fused profiling mode with slicing off: dense per-PC counters
+    // + inlined cache, no observer, the slice recorder disarmed (one
+    // never-taken compare per retired instruction).
     ir::Module m = lang::compile(kernelSrc, "k");
     auto prog = isa::lower(m, isa::targetX86());
     sim::DecodedProgram decoded(prog);
@@ -150,10 +153,10 @@ void
 BM_InstrumentedSlicedThroughput(benchmark::State &state)
 {
     // The fused mode with the v3 slice recorder armed (default slice
-    // interval and checkpoint budget). The recorder is one decrement
-    // per retired instruction plus a counter snapshot every few
-    // thousand, so this must stay within a few percent of the plain
-    // instrumented rate above.
+    // interval and checkpoint budget) — the mode every profile runs.
+    // The recorder adds a counter snapshot every few thousand retired
+    // instructions, so this must stay within a few percent of the
+    // unsliced rate above.
     ir::Module m = lang::compile(kernelSrc, "k");
     auto prog = isa::lower(m, isa::targetX86());
     sim::DecodedProgram decoded(prog);
@@ -193,11 +196,10 @@ BM_InterpreterWithTimingModel(benchmark::State &state)
 BENCHMARK(BM_InterpreterWithTimingModel);
 
 void
-BM_TimingModelDecodedReuse(benchmark::State &state)
+BM_TimingModelOracle(benchmark::State &state)
 {
-    // The golden reference timing model over an existing decode: the
-    // prepared CoreModel steps on the timed dispatch mode. This is the
-    // baseline the specialized-engine numbers below are measured
+    // The reference core model (tests/oracle) observing an existing
+    // decode: the baseline the timed-engine numbers below are measured
     // against (and differentially tested against for exactness).
     ir::Module m = lang::compile(kernelSrc, "k");
     auto prog = isa::lower(m, isa::targetX86());
@@ -205,23 +207,23 @@ BM_TimingModelDecodedReuse(benchmark::State &state)
     auto machine = sim::ptlsimConfig(8);
     uint64_t insts = 0;
     for (auto _ : state) {
-        auto t = sim::simulateTiming(decoded, machine.core,
-                                     sim::ExecLimits(),
-                                     sim::TimingEngine::Reference);
+        oracle::CoreModel model(machine.core);
+        sim::execute(decoded, &model);
+        auto t = model.finish();
         insts += t.instructions;
         benchmark::DoNotOptimize(t.cycles);
     }
     state.counters["instr/s"] = benchmark::Counter(
         double(insts), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_TimingModelDecodedReuse);
+BENCHMARK(BM_TimingModelOracle);
 
 void
 BM_TimedSpecializedThroughput(benchmark::State &state)
 {
-    // The specialized timing engine (flat cache/predictor, per-PC
-    // metadata prepared once) over a fusion-free decode: isolates the
-    // engine speedup from the superblock-fusion dispatch win below.
+    // The timing engine (inlined cache/predictor, per-PC metadata
+    // prepared once) over a fusion-free decode: isolates the engine
+    // speedup from the superblock-fusion dispatch win below.
     ir::Module m = lang::compile(kernelSrc, "k");
     auto prog = isa::lower(m, isa::targetX86());
     sim::DecodeOptions opts;
@@ -243,7 +245,7 @@ BENCHMARK(BM_TimedSpecializedThroughput);
 void
 BM_TimedSuperblockThroughput(benchmark::State &state)
 {
-    // The default timing path: specialized engine + superblock-fused
+    // The default timing path: timing engine + superblock-fused
     // decode, steady state with decode and prepare amortized (Fig 10
     // sweeps, fidelity CPI scoring). CI enforces a floor on this rate.
     ir::Module m = lang::compile(kernelSrc, "k");
@@ -285,7 +287,7 @@ BENCHMARK(BM_CacheSimulator);
 void
 BM_TournamentPredictor(benchmark::State &state)
 {
-    sim::TournamentPredictor pred;
+    sim::BranchPredictor pred("tournament");
     Rng rng(5);
     uint64_t branches = 0;
     for (auto _ : state) {
@@ -328,13 +330,11 @@ BENCHMARK(BM_ProfileWorkload);
 void
 BM_ProfileWorkloadReference(benchmark::State &state)
 {
-    // The golden ExecObserver-based profiler the fused mode is
+    // The reference observer profiler (tests/oracle) the fused mode is
     // differentially tested against.
     ir::Module m = lang::compile(kernelSrc, "k");
-    profile::ProfileOptions opts;
-    opts.engine = profile::ProfileEngine::Observer;
     for (auto _ : state) {
-        auto prof = profile::profileModule(m, opts);
+        auto prof = oracle::profileModule(m);
         benchmark::DoNotOptimize(prof.dynamicInstructions);
     }
 }

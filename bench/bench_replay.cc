@@ -10,7 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "replay/histogram.hh"
+#include "obs/histogram.hh"
 #include "replay/mix.hh"
 #include "replay/schedule.hh"
 
@@ -22,7 +22,7 @@ namespace
 void
 BM_HistogramRecord(benchmark::State &state)
 {
-    replay::LatencyHistogram h;
+    obs::LatencyHistogram h;
     uint64_t v = 0;
     for (auto _ : state) {
         h.record(v);
@@ -36,7 +36,7 @@ BENCHMARK(BM_HistogramRecord)->Threads(1)->Threads(4)->Threads(8);
 void
 BM_HistogramQuantile(benchmark::State &state)
 {
-    replay::LatencyHistogram h;
+    obs::LatencyHistogram h;
     uint64_t v = 1;
     for (int i = 0; i < 100000; ++i) {
         h.record(v);

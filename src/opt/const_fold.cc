@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "support/bits.hh"
 #include "support/error.hh"
 
 namespace bsyn::opt
@@ -23,23 +24,6 @@ struct ConstVal
     uint32_t i = 0;
     double f = 0.0;
 };
-
-bool
-isPow2(uint32_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
-
-int
-log2u(uint32_t v)
-{
-    int n = 0;
-    while (v > 1) {
-        v >>= 1;
-        ++n;
-    }
-    return n;
-}
 
 /** Evaluate an integer binary op on constants (mirrors the interpreter). */
 uint32_t

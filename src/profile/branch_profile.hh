@@ -15,27 +15,13 @@
 namespace bsyn::profile
 {
 
-/** Per-static-branch outcome counters. */
+/** Per-static-branch outcome counters; a transition is an outcome that
+ *  differs from the same branch's previous one. */
 struct BranchStats
 {
     uint64_t executions = 0;
     uint64_t taken = 0;
     uint64_t transitions = 0;
-    bool lastOutcome = false;
-    bool hasLast = false;
-
-    /** Record one resolved outcome. */
-    void
-    record(bool was_taken)
-    {
-        ++executions;
-        if (was_taken)
-            ++taken;
-        if (hasLast && was_taken != lastOutcome)
-            ++transitions;
-        lastOutcome = was_taken;
-        hasLast = true;
-    }
 
     double
     takenRate() const

@@ -21,149 +21,19 @@ using isa::MKind;
 namespace
 {
 
-/**
- * The dynamic half of a profile — everything measured by running the
- * workload, independent of which collection machinery produced it. The
- * observer path fills it from the live callback stream; the fused path
- * reconstructs it from the instrumented engine's dense counters. Both
- * must be bit-identical (the differential-profile suite asserts it),
- * and the SFGL assembly below consumes only this.
- */
-struct DynamicProfile
+/** Static structure shared by the aggregate and every phase. */
+struct StaticSfgl
 {
-    sim::ExecStats exec;
-    InstrMix mix;
-    std::vector<MemAccessStats> memStats;   ///< per PC
-    std::vector<BranchStats> branchStats;   ///< per PC
-    std::vector<uint64_t> blockExec;        ///< per SFGL block
-    std::map<std::pair<int, int>, uint64_t> edges;
-};
-
-/** Per-PC memory/branch statistics from dense counters — the shared
- *  decode both engines' slice streams go through. */
-void
-statsFromCounters(const sim::InstrumentedCounters &c, size_t n,
-                  DynamicProfile &d)
-{
-    d.memStats.resize(n);
-    d.branchStats.resize(n);
-    for (size_t pc = 0; pc < n; ++pc) {
-        d.memStats[pc].accesses = c.memAccesses[pc];
-        d.memStats[pc].misses = c.memMisses[pc];
-        BranchStats &b = d.branchStats[pc];
-        b.executions = c.branch[pc].executions;
-        b.taken = c.branch[pc].taken;
-        b.transitions = c.branch[pc].transitions;
-        b.lastOutcome = c.branch[pc].lastOutcome != 0;
-        b.hasLast = c.branch[pc].hasLast != 0;
-    }
-}
-
-/** Execution observer that fills in the dynamic SFGL annotations —
- *  the golden reference the fused path is checked against. It keeps
- *  the same dense per-PC counters as the instrumented engine (so the
- *  slice streams of both engines decode through one code path) plus
- *  the directly observed block executions, edges and retire-order mix
- *  the differential suite compares against the reconstruction. */
-class ProfileObserver : public sim::ExecObserver
-{
-  public:
-    ProfileObserver(const isa::MachineProgram &p,
-                    const std::vector<int> &pc_to_block,
-                    const ProfileOptions &opts, sim::SliceRecorder &rec)
-        : prog(p), pcToBlock(pc_to_block), cache(opts.profilingCache),
-          recorder(rec)
-    {
-        counters.execCount.assign(prog.code.size(), 0);
-        counters.memAccesses.assign(prog.code.size(), 0);
-        counters.memMisses.assign(prog.code.size(), 0);
-        counters.branch.assign(prog.code.size(),
-                               sim::InstrumentedCounters::Branch());
-        blockExec.assign(1 + *std::max_element(pcToBlock.begin(),
-                                               pcToBlock.end()),
-                         0);
-        // The class of a static instruction never changes; resolving it
-        // once here keeps MInst::cls()'s switch off the per-retired-
-        // instruction path.
-        clsByPc.reserve(prog.code.size());
-        for (const MInst &mi : prog.code)
-            clsByPc.push_back(mi.cls());
-    }
-
-    void
-    onInstruction(int pc, const MInst &mi) override
-    {
-        // Checkpoint before counting, exactly like the instrumented
-        // engine's hook: a boundary never splits one instruction's
-        // events across two slices.
-        recorder.beforeRetire(counters);
-        ++counters.execCount[static_cast<size_t>(pc)];
-        mix.add(clsByPc[static_cast<size_t>(pc)]);
-
-        // A block "starts" at a PC whose predecessor PC belongs to a
-        // different (func, irBlock) run. Returns land mid-block (just
-        // after the call instruction), so they do not retrigger a block
-        // start — the IR block's execution simply continues.
-        int block = pcToBlock[static_cast<size_t>(pc)];
-        bool block_start =
-            pc == 0 || pcToBlock[static_cast<size_t>(pc - 1)] != block;
-        if (block_start) {
-            ++blockExec[static_cast<size_t>(block)];
-            if (lastBlock >= 0 && lastWasIntraFunc &&
-                prog.code[static_cast<size_t>(lastPc)].funcId ==
-                    mi.funcId) {
-                ++edges[{lastBlock, block}];
-            }
-        }
-
-        lastWasIntraFunc =
-            mi.kind != MKind::Call && mi.kind != MKind::Ret;
-        lastBlock = block;
-        lastPc = pc;
-    }
-
-    void
-    onMemAccess(int pc, uint64_t addr, uint32_t size, bool,
-                uint64_t) override
-    {
-        ++counters.memAccesses[static_cast<size_t>(pc)];
-        if (!cache.access(addr, size))
-            ++counters.memMisses[static_cast<size_t>(pc)];
-    }
-
-    void
-    onBranch(int pc, bool taken) override
-    {
-        // Mirrors BranchStats::record() / the instrumented engine.
-        auto &b = counters.branch[static_cast<size_t>(pc)];
-        ++b.executions;
-        b.taken += taken;
-        if (b.hasLast && taken != (b.lastOutcome != 0))
-            ++b.transitions;
-        b.lastOutcome = taken;
-        b.hasLast = 1;
-    }
-
-    const isa::MachineProgram &prog;
-    const std::vector<int> &pcToBlock;
-    sim::Cache cache;
-    sim::SliceRecorder &recorder;
-
-    InstrMix mix;
-    std::vector<isa::MClass> clsByPc;         // per PC
-    sim::InstrumentedCounters counters;       // per PC, dense
-    std::vector<uint64_t> blockExec;          // per SFGL block
-    std::map<std::pair<int, int>, uint64_t> edges;
-
-    int lastBlock = -1;
-    int lastPc = 0;
-    bool lastWasIntraFunc = false;
+    Sfgl sfgl; ///< blocks/code/term/funcNames/loops, no dynamic counts
+    std::vector<int> pc_to_block;
+    std::vector<int> block_start_pc;
 };
 
 /**
- * Reconstruct a dynamic profile from dense per-PC counters plus the
- * program's static structure — the aggregate counters of a fused run,
- * or the delta between two slice-stream snapshots of either engine.
+ * Reconstruct a run's mix, block counts and edges from its per-PC
+ * counters plus the program's static structure — for the aggregate
+ * counters of a fused run, or the delta between two slice-stream
+ * snapshots.
  *
  * The reconstruction leans on two invariants of the lowered code:
  * every retired execution of a block's first PC is exactly one block
@@ -171,30 +41,28 @@ class ProfileObserver : public sim::ExecObserver
  * control enters a block start only by (a) a CondBr outcome, (b) a
  * Jmp, (c) straight-line fall-through from the previous PC (the
  * lowering elides jumps to the next block, so a block may end in a
- * plain body instruction), or (d) a Call/Ret — which the observer
- * deliberately excludes from the edge map. Each of (a)-(c) is
- * attributable to a static PC whose dynamic count we have.
+ * plain body instruction), or (d) a Call/Ret — which never forms an
+ * SFGL edge. Each of (a)-(c) is attributable to a static PC whose
+ * dynamic count we have.
  */
-DynamicProfile
-dynFromCounters(const isa::MachineProgram &prog,
-                const std::vector<int> &pc_to_block,
-                const std::vector<int> &block_start_pc,
-                const sim::InstrumentedCounters &c)
+void
+reconstructFromCounters(const isa::MachineProgram &prog,
+                        const StaticSfgl &st, RunMeasurements &m)
 {
-    DynamicProfile d;
+    const sim::InstrumentedCounters &c = m.counters;
+    const std::vector<int> &pc_to_block = st.pc_to_block;
     size_t n = prog.code.size();
     std::vector<bool> starts(n, false);
     for (size_t pc = 0; pc < n; ++pc) {
         if (c.execCount[pc])
-            d.mix.add(prog.code[pc].cls(), c.execCount[pc]);
+            m.mix.add(prog.code[pc].cls(), c.execCount[pc]);
         starts[pc] = pc == 0 || pc_to_block[pc - 1] != pc_to_block[pc];
     }
-    statsFromCounters(c, n, d);
 
-    d.blockExec.resize(block_start_pc.size());
-    for (size_t b = 0; b < block_start_pc.size(); ++b)
-        d.blockExec[b] =
-            c.execCount[static_cast<size_t>(block_start_pc[b])];
+    m.blockExec.resize(st.block_start_pc.size());
+    for (size_t b = 0; b < st.block_start_pc.size(); ++b)
+        m.blockExec[b] =
+            c.execCount[static_cast<size_t>(st.block_start_pc[b])];
 
     for (size_t pc = 0; pc < n; ++pc) {
         const MInst &mi = prog.code[pc];
@@ -204,16 +72,16 @@ dynFromCounters(const isa::MachineProgram &prog,
             const auto &b = c.branch[pc];
             size_t tgt = static_cast<size_t>(mi.target);
             if (b.taken && starts[tgt])
-                d.edges[{from, pc_to_block[tgt]}] += b.taken;
+                m.edges[{from, pc_to_block[tgt]}] += b.taken;
             uint64_t fall = b.executions - b.taken;
             if (fall && pc + 1 < n && starts[pc + 1])
-                d.edges[{from, pc_to_block[pc + 1]}] += fall;
+                m.edges[{from, pc_to_block[pc + 1]}] += fall;
             break;
           }
           case MKind::Jmp: {
             size_t tgt = static_cast<size_t>(mi.target);
             if (c.execCount[pc] && starts[tgt])
-                d.edges[{from, pc_to_block[tgt]}] += c.execCount[pc];
+                m.edges[{from, pc_to_block[tgt]}] += c.execCount[pc];
             break;
           }
           case MKind::Call:
@@ -223,57 +91,15 @@ dynFromCounters(const isa::MachineProgram &prog,
             // Straight-line fall-through into the next block.
             if (c.execCount[pc] && pc + 1 < n && starts[pc + 1] &&
                 prog.code[pc + 1].funcId == mi.funcId)
-                d.edges[{from, pc_to_block[pc + 1]}] += c.execCount[pc];
+                m.edges[{from, pc_to_block[pc + 1]}] += c.execCount[pc];
             break;
         }
     }
-    return d;
-}
-
-DynamicProfile
-observerDynamicProfile(const isa::MachineProgram &prog,
-                       const std::vector<int> &pc_to_block,
-                       const ProfileOptions &opts,
-                       const sim::SliceOptions &sopts,
-                       sim::SlicedCounters *slices)
-{
-    sim::SliceRecorder rec(sopts, slices);
-    ProfileObserver obs(prog, pc_to_block, opts, rec);
-    DynamicProfile d;
-    d.exec = sim::execute(prog, &obs, opts.limits);
-    rec.finish(obs.counters);
-    d.mix = obs.mix;
-    statsFromCounters(obs.counters, prog.code.size(), d);
-    d.blockExec = std::move(obs.blockExec);
-    d.edges = std::move(obs.edges);
-    return d;
-}
-
-DynamicProfile
-fusedDynamicProfile(const isa::MachineProgram &prog,
-                    const std::vector<int> &pc_to_block,
-                    const std::vector<int> &block_start_pc,
-                    const ProfileOptions &opts,
-                    const sim::SliceOptions &sopts,
-                    sim::SlicedCounters *slices)
-{
-    sim::DecodedProgram decoded(prog);
-    sim::InstrumentedCounters c;
-    sim::ExecStats exec =
-        slices ? sim::executeInstrumentedSliced(
-                     decoded, opts.profilingCache, c, *slices, sopts,
-                     opts.limits)
-               : sim::executeInstrumented(decoded, opts.profilingCache,
-                                          c, opts.limits);
-    DynamicProfile d =
-        dynFromCounters(prog, pc_to_block, block_start_pc, c);
-    d.exec = exec;
-    return d;
 }
 
 /** Element-wise counter difference hi - lo (the events of one slice or
  *  phase). The branch last-outcome flags carry over from @p hi; they
- *  only exist for record() streaming and are ignored downstream. */
+ *  only matter while counting and are ignored downstream. */
 sim::InstrumentedCounters
 counterDelta(const sim::InstrumentedCounters &hi,
              const sim::InstrumentedCounters *lo)
@@ -435,17 +261,10 @@ detectPhases(const sim::SlicedCounters &slices,
     return segs;
 }
 
-/** Static structure shared by the aggregate and every phase. */
-struct StaticSfgl
-{
-    Sfgl sfgl; ///< blocks/code/term/funcNames/loops, no dynamic counts
-    std::vector<int> pc_to_block;
-    std::vector<int> block_start_pc;
-};
-
 StaticSfgl
 buildStaticSfgl(const ir::Module &mod, const isa::MachineProgram &prog)
 {
+    BSYN_ASSERT(!prog.code.empty(), "profiling an empty program");
     StaticSfgl s;
     s.pc_to_block.assign(prog.code.size(), -1);
     std::map<std::pair<int, int>, int> block_index;
@@ -521,10 +340,10 @@ buildStaticSfgl(const ir::Module &mod, const isa::MachineProgram &prog)
     return s;
 }
 
-/** Apply one DynamicProfile's measurements to a copy of the static
+/** Apply one run's (or phase's) measurements to a copy of the static
  *  SFGL — the per-phase and aggregate assemblies share this verbatim. */
 void
-annotateDynamic(Sfgl &sfgl, const DynamicProfile &dyn,
+annotateDynamic(Sfgl &sfgl, const RunMeasurements &dyn,
                 const StaticSfgl &st, const isa::MachineProgram &prog,
                 const ProfileOptions &opts)
 {
@@ -545,10 +364,10 @@ annotateDynamic(Sfgl &sfgl, const DynamicProfile &dyn,
             int pc = start + static_cast<int>(i);
             if (prog.code[static_cast<size_t>(pc)].kind != MKind::CondBr)
                 continue;
-            const BranchStats &bs =
-                dyn.branchStats[static_cast<size_t>(pc)];
-            if (bs.executions == 0)
+            const auto &bc = dyn.counters.branch[static_cast<size_t>(pc)];
+            if (bc.executions == 0)
                 continue;
+            BranchStats bs{bc.executions, bc.taken, bc.transitions};
             blk.code[i].branchExecutions = bs.executions;
             blk.code[i].takenRate = bs.takenRate();
             blk.code[i].transitionRate = bs.transitionRate();
@@ -570,8 +389,9 @@ annotateDynamic(Sfgl &sfgl, const DynamicProfile &dyn,
             InstrDescriptor &d = blk.code[i];
             if (!d.readsMem && !d.writesMem)
                 continue;
-            const MemAccessStats &ms =
-                dyn.memStats[static_cast<size_t>(start) + i];
+            size_t pc = static_cast<size_t>(start) + i;
+            MemAccessStats ms{dyn.counters.memAccesses[pc],
+                              dyn.counters.memMisses[pc]};
             d.missClass = ms.accesses ? ms.missClass() : 0;
         }
     }
@@ -597,47 +417,27 @@ annotateDynamic(Sfgl &sfgl, const DynamicProfile &dyn,
     }
 }
 
-} // namespace
-
 StatisticalProfile
-profileWorkload(const ir::Module &mod, const isa::MachineProgram &prog,
-                const ProfileOptions &opts)
+assemble(const StaticSfgl &st, const isa::MachineProgram &prog,
+         const RunMeasurements &run, const ProfileOptions &opts)
 {
-    BSYN_ASSERT(!prog.code.empty(), "profiling an empty program");
-
-    StaticSfgl st = buildStaticSfgl(mod, prog);
-
-    // --- Dynamic annotations, via either collection engine. The fused
-    // mode lives inside the predecoded engine, so explicitly selecting
-    // the reference interpreter implies the observer profiler.
-    bool fused = opts.engine == ProfileEngine::Fused &&
-                 opts.limits.engine == sim::ExecEngine::Predecoded;
-    bool slicing =
-        opts.sliceBaseLength > 0 && opts.maxSliceCheckpoints >= 2;
-    sim::SliceOptions sopts;
-    sopts.baseSliceLength = opts.sliceBaseLength;
-    sopts.maxSlices = opts.maxSliceCheckpoints;
-    sim::SlicedCounters slices;
-    sim::SlicedCounters *sl = slicing ? &slices : nullptr;
-    DynamicProfile dyn =
-        fused ? fusedDynamicProfile(prog, st.pc_to_block,
-                                    st.block_start_pc, opts, sopts, sl)
-              : observerDynamicProfile(prog, st.pc_to_block, opts,
-                                       sopts, sl);
+    BSYN_ASSERT(run.counters.execCount.size() == prog.code.size() &&
+                    run.blockExec.size() == st.block_start_pc.size(),
+                "profile measurements do not match the program");
+    const sim::SlicedCounters &slices = run.slices;
 
     StatisticalProfile profile;
     profile.workloadName = prog.name;
-    profile.dynamicInstructions = dyn.exec.instructions;
-    profile.mix = dyn.mix;
+    profile.dynamicInstructions = run.exec.instructions;
+    profile.mix = run.mix;
     profile.sfgl = st.sfgl;
-    annotateDynamic(profile.sfgl, dyn, st, prog, opts);
+    annotateDynamic(profile.sfgl, run, st, prog, opts);
 
-    // --- Phase detection over the slice stream. Both engines produce
-    // the same snapshots at the same boundaries, and each phase's
-    // sub-profile is reconstructed from snapshot deltas through one
-    // shared code path, so per-phase profiles are byte-identical
-    // across engines by construction.
-    if (slicing && !slices.snapshots.empty()) {
+    // --- Phase detection over the slice stream. Each phase's
+    // sub-profile is reconstructed from snapshot deltas, so a
+    // measurement source only has to cut the same snapshots at the
+    // same boundaries (sim::SliceRecorder) to agree on every phase.
+    if (!slices.snapshots.empty()) {
         profile.sliceLength = slices.sliceLength;
         profile.sliceCount = slices.snapshots.size();
 
@@ -656,10 +456,10 @@ profileWorkload(const ir::Module &mod, const isa::MachineProgram &prog,
                     seg.first
                         ? &slices.snapshots[seg.first - 1].counters
                         : nullptr;
-                sim::InstrumentedCounters delta = counterDelta(
-                    slices.snapshots[last].counters, lo);
-                DynamicProfile pd = dynFromCounters(
-                    prog, st.pc_to_block, st.block_start_pc, delta);
+                RunMeasurements pd;
+                pd.counters =
+                    counterDelta(slices.snapshots[last].counters, lo);
+                reconstructFromCounters(prog, st, pd);
 
                 PhaseProfile ph;
                 ph.dynamicInstructions =
@@ -689,6 +489,38 @@ profileWorkload(const ir::Module &mod, const isa::MachineProgram &prog,
         profile.phases.push_back(std::move(only));
     }
     return profile;
+}
+
+} // namespace
+
+sim::SliceOptions
+ProfileOptions::sliceOptions() const
+{
+    sim::SliceOptions so;
+    so.baseSliceLength = maxSliceCheckpoints >= 2 ? sliceBaseLength : 0;
+    so.maxSlices = maxSliceCheckpoints;
+    return so;
+}
+
+StatisticalProfile
+profileWorkload(const ir::Module &mod, const isa::MachineProgram &prog,
+                const ProfileOptions &opts)
+{
+    StaticSfgl st = buildStaticSfgl(mod, prog);
+    RunMeasurements run;
+    sim::DecodedProgram decoded(prog);
+    run.exec = sim::executeInstrumentedSliced(
+        decoded, opts.profilingCache, run.counters, run.slices,
+        opts.sliceOptions(), opts.limits);
+    reconstructFromCounters(prog, st, run);
+    return assemble(st, prog, run, opts);
+}
+
+StatisticalProfile
+assembleProfile(const ir::Module &mod, const isa::MachineProgram &prog,
+                const RunMeasurements &run, const ProfileOptions &opts)
+{
+    return assemble(buildStaticSfgl(mod, prog), prog, run, opts);
 }
 
 StatisticalProfile

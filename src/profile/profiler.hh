@@ -9,33 +9,15 @@
 #ifndef BSYN_PROFILE_PROFILER_HH
 #define BSYN_PROFILE_PROFILER_HH
 
+#include <map>
+
 #include "ir/module.hh"
 #include "isa/machine_program.hh"
 #include "profile/statistical_profile.hh"
-#include "sim/cache.hh"
-#include "sim/interpreter.hh"
+#include "sim/decoded_program.hh"
 
 namespace bsyn::profile
 {
-
-/**
- * Which collection machinery drives the dynamic half of a profile.
- * Both produce byte-identical profiles (asserted by
- * tests/test_differential_profile.cc); the fused mode is ~an order of
- * magnitude faster and is the default everywhere.
- */
-enum class ProfileEngine : uint8_t
-{
-    /** The instrumented dispatch mode of the predecoded engine:
-     *  dense per-PC counters, no per-instruction virtual calls; the
-     *  SFGL annotations are assembled from the counters plus the
-     *  program's static structure. */
-    Fused,
-    /** The original ExecObserver-based profiler — the golden
-     *  reference the differential suite compares against. Runs on the
-     *  interpreter selected by limits.engine. */
-    Observer,
-};
 
 /** Profiling parameters. */
 struct ProfileOptions
@@ -48,11 +30,6 @@ struct ProfileOptions
 
     /** Interpreter limits. */
     sim::ExecLimits limits;
-
-    /** Collection machinery. Selecting the reference decode-per-step
-     *  interpreter via limits.engine implies the Observer profiler
-     *  (the fused mode only exists inside the predecoded engine). */
-    ProfileEngine engine = ProfileEngine::Fused;
 
     /** Slice checkpoint interval in retired instructions; the interval
      *  doubles whenever maxSliceCheckpoints checkpoints accumulate
@@ -77,6 +54,27 @@ struct ProfileOptions
      *  the transition slices that straddle a real boundary (their
      *  blended features otherwise surface as singleton phases). */
     double minPhaseFraction = 0.05;
+
+    /** The slice settings above as the engine takes them (base length
+     *  0 when slicing is off). */
+    sim::SliceOptions sliceOptions() const;
+};
+
+/**
+ * What one profiling run measured — the input of assembleProfile().
+ * profileWorkload() fills it from the fused instrumented run, with the
+ * mix, block counts and edges reconstructed from the per-PC counters;
+ * the reference profiler in tests/oracle fills it from a live observer
+ * stream, so the two meet here.
+ */
+struct RunMeasurements
+{
+    sim::ExecStats exec;
+    InstrMix mix;
+    sim::InstrumentedCounters counters;            ///< per PC
+    std::vector<uint64_t> blockExec;               ///< per SFGL block
+    std::map<std::pair<int, int>, uint64_t> edges; ///< block -> block
+    sim::SlicedCounters slices; ///< no snapshots when slicing is off
 };
 
 /**
@@ -91,6 +89,18 @@ struct ProfileOptions
  */
 StatisticalProfile profileWorkload(const ir::Module &mod,
                                    const isa::MachineProgram &prog,
+                                   const ProfileOptions &opts = {});
+
+/**
+ * Turn one run's measurements into the statistical profile: the SFGL
+ * with its loop, branch and memory annotations, the instruction mix
+ * and, from the slice stream, the phase list. @p run must come from
+ * executing @p prog under @p opts (profiling cache, slice settings);
+ * profileWorkload() is this step applied to the fused run.
+ */
+StatisticalProfile assembleProfile(const ir::Module &mod,
+                                   const isa::MachineProgram &prog,
+                                   const RunMeasurements &run,
                                    const ProfileOptions &opts = {});
 
 /**

@@ -6,6 +6,7 @@
 #include <memory>
 #include <thread>
 
+#include "obs/histogram.hh"
 #include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -64,7 +65,7 @@ struct Drive
     const Mix &mix;
     const std::vector<uint64_t> &offsets;
     std::vector<ArrivalResult> &results;
-    LatencyHistogram *const *hists; // [kStages]
+    obs::LatencyHistogram *const *hists; // [kStages]
     Clock::time_point start;
     std::atomic<size_t> next{0};
 };
@@ -194,7 +195,7 @@ driveSpool(Drive &d, const serve::Spool &spool)
 }
 
 StageSummary
-summarize(const char *name, const LatencyHistogram &h)
+summarize(const char *name, const obs::LatencyHistogram &h)
 {
     StageSummary s;
     s.stage = name;
@@ -265,7 +266,7 @@ runReplay(const ReplayOptions &opts)
     // binary may replay several times) while the same recordings
     // aggregate process-wide through the registry parent chain.
     obs::Registry metrics(&obs::Registry::global());
-    LatencyHistogram *hists[kStages];
+    obs::LatencyHistogram *hists[kStages];
     for (int s = 0; s < kStages; ++s)
         hists[s] = &metrics.histogram(std::string("replay.stage.") +
                                       kStageNames[s]);

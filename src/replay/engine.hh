@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "pipeline/session.hh"
-#include "replay/histogram.hh"
 #include "replay/mix.hh"
 #include "replay/schedule.hh"
 #include "support/json.hh"

@@ -3,14 +3,15 @@
  * Conditional-branch predictors. The paper's evaluation (Fig 9) uses a
  * hybrid predictor with a bimodal component and a history-based
  * component, as simulated by PTLSim; we provide bimodal, gshare and the
- * tournament hybrid, plus trivial static predictors for baselines.
+ * tournament hybrid, plus a static always-taken baseline — all as one
+ * flat state machine selected by name, so the timed core trains it with
+ * a single predict-and-train table walk per branch.
  */
 
 #ifndef BSYN_SIM_BRANCH_PREDICTOR_HH
 #define BSYN_SIM_BRANCH_PREDICTOR_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,106 +30,93 @@ struct PredictorStats
     }
 };
 
-/** Abstract conditional branch predictor. */
+/**
+ * Every predictor kind as one flat state machine: 2-bit saturating
+ * counters (weakly taken at reset) in 4096-entry tables indexed by the
+ * low PC bits, a 12-bit global history for gshare, and a per-PC
+ * chooser for the tournament hybrid, which trains only when its
+ * components disagree.
+ */
 class BranchPredictor
 {
   public:
-    virtual ~BranchPredictor() = default;
+    /** Table index mask: every table has 2^12 entries. */
+    static constexpr uint64_t kIndexMask = (1ull << 12) - 1;
 
-    /** Predict, then update with the actual outcome. */
-    void
-    branch(uint64_t pc, bool taken)
+    /** Build by name: "static", "bimodal", "gshare", "tournament". */
+    explicit BranchPredictor(const std::string &name);
+
+    /** Predict, update stats and train on the branch at @p pc. */
+    bool branch(uint64_t pc, bool taken)
     {
-        bool pred = predict(pc);
-        ++stats_.branches;
-        if (pred == taken)
-            ++stats_.correct;
-        update(pc, taken);
+        return predictAndTrain(pc & kIndexMask, taken);
     }
 
-    /** Predict without updating (used by the timing model). */
-    virtual bool predict(uint64_t pc) const = 0;
-
-    /** Train on the resolved outcome. */
-    virtual void update(uint64_t pc, bool taken) = 0;
-
-    virtual std::string name() const = 0;
+    /** branch() with the PC already masked to @p idx (the timed core
+     *  pre-masks it per PC at prepare time). @return the prediction. */
+    bool
+    predictAndTrain(uint64_t idx, bool taken)
+    {
+        bool predicted = true;
+        switch (kind_) {
+          case Kind::Static:
+            predicted = true;
+            break;
+          case Kind::Bimodal: {
+            uint8_t &c = bimodal_[idx];
+            predicted = c >= 2;
+            c = bump(c, taken);
+            break;
+          }
+          case Kind::Gshare: {
+            uint8_t &c = gshare_[(idx ^ history_) & kIndexMask];
+            predicted = c >= 2;
+            c = bump(c, taken);
+            history_ = ((history_ << 1) | (taken ? 1 : 0)) & historyMask_;
+            break;
+          }
+          case Kind::Tournament: {
+            uint8_t &bc = bimodal_[idx];
+            uint8_t &gc = gshare_[(idx ^ history_) & kIndexMask];
+            bool bi = bc >= 2;
+            bool gs = gc >= 2;
+            uint8_t &ch = chooser_[idx];
+            predicted = (ch >= 2) ? gs : bi;
+            if (bi != gs)
+                ch = bump(ch, gs == taken);
+            bc = bump(bc, taken);
+            gc = bump(gc, taken);
+            history_ = ((history_ << 1) | (taken ? 1 : 0)) & historyMask_;
+            break;
+          }
+        }
+        ++stats_.branches;
+        stats_.correct += predicted == taken;
+        return predicted;
+    }
 
     const PredictorStats &stats() const { return stats_; }
-    void resetStats() { stats_ = PredictorStats(); }
 
   private:
+    enum class Kind : uint8_t { Static, Bimodal, Gshare, Tournament };
+
+    /** 2-bit saturating counter (0,1 = not taken; 2,3 = taken). */
+    static uint8_t
+    bump(uint8_t counter, bool taken)
+    {
+        if (taken)
+            return counter < 3 ? counter + 1 : 3;
+        return counter > 0 ? counter - 1 : 0;
+    }
+
+    Kind kind_ = Kind::Static;
+    std::vector<uint8_t> bimodal_;
+    std::vector<uint8_t> gshare_;
+    std::vector<uint8_t> chooser_;
+    uint64_t history_ = 0;
+    uint64_t historyMask_ = kIndexMask;
     PredictorStats stats_;
 };
-
-/** Static always-taken (baseline). */
-class StaticTakenPredictor : public BranchPredictor
-{
-  public:
-    bool predict(uint64_t) const override { return true; }
-    void update(uint64_t, bool) override {}
-    std::string name() const override { return "static"; }
-};
-
-/** Bimodal: per-PC 2-bit saturating counters. */
-class BimodalPredictor : public BranchPredictor
-{
-  public:
-    explicit BimodalPredictor(uint32_t table_bits = 12);
-
-    bool predict(uint64_t pc) const override;
-    void update(uint64_t pc, bool taken) override;
-    std::string name() const override { return "bimodal"; }
-
-  private:
-    std::vector<uint8_t> table;
-    uint64_t mask;
-};
-
-/** gshare: global history XOR PC indexing 2-bit counters. */
-class GsharePredictor : public BranchPredictor
-{
-  public:
-    explicit GsharePredictor(uint32_t table_bits = 12,
-                             uint32_t history_bits = 12);
-
-    bool predict(uint64_t pc) const override;
-    void update(uint64_t pc, bool taken) override;
-    std::string name() const override { return "gshare"; }
-
-  private:
-    uint64_t index(uint64_t pc) const;
-
-    std::vector<uint8_t> table;
-    uint64_t mask;
-    uint64_t history = 0;
-    uint64_t historyMask;
-};
-
-/**
- * Tournament hybrid of a bimodal and a gshare component with a per-PC
- * chooser — the "hybrid branch predictor with a bimodal component along
- * with a history-based component" of the paper's experimental setup.
- */
-class TournamentPredictor : public BranchPredictor
-{
-  public:
-    explicit TournamentPredictor(uint32_t table_bits = 12,
-                                 uint32_t history_bits = 12);
-
-    bool predict(uint64_t pc) const override;
-    void update(uint64_t pc, bool taken) override;
-    std::string name() const override { return "tournament"; }
-
-  private:
-    BimodalPredictor bimodal;
-    GsharePredictor gshare;
-    std::vector<uint8_t> chooser;
-    uint64_t mask;
-};
-
-/** Factory by name: "static", "bimodal", "gshare", "tournament". */
-std::unique_ptr<BranchPredictor> makePredictor(const std::string &name);
 
 } // namespace bsyn::sim
 

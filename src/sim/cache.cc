@@ -1,5 +1,6 @@
 #include "sim/cache.hh"
 
+#include "support/bits.hh"
 #include "support/error.hh"
 #include "support/string_util.hh"
 
@@ -14,72 +15,30 @@ CacheConfig::describe() const
                      lineBytes, associativity);
 }
 
-namespace
+Cache::Cache(const CacheConfig &config)
 {
-
-bool
-isPow2(uint64_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
-
-uint32_t
-log2u(uint64_t v)
-{
-    uint32_t n = 0;
-    while (v > 1) {
-        v >>= 1;
-        ++n;
-    }
-    return n;
-}
-
-} // namespace
-
-Cache::Cache(const CacheConfig &config) : cfg(config)
-{
-    BSYN_ASSERT(isPow2(cfg.lineBytes), "line size must be a power of two");
-    BSYN_ASSERT(cfg.sizeBytes % (cfg.lineBytes * cfg.associativity) == 0,
+    BSYN_ASSERT(isPow2(config.lineBytes),
+                "line size must be a power of two");
+    BSYN_ASSERT(config.sizeBytes %
+                        (config.lineBytes * config.associativity) ==
+                    0,
                 "cache size must be a multiple of line*assoc");
-    uint64_t sets = cfg.numSets();
+    uint64_t sets = config.numSets();
     BSYN_ASSERT(isPow2(sets), "set count must be a power of two");
-    lines.assign(sets * cfg.associativity, Line());
-    setShift = log2u(cfg.lineBytes);
-    tagShift = log2u(sets);
-    setMask = sets - 1;
-}
-
-bool
-Cache::probe(uint64_t addr) const
-{
-    uint64_t line_addr = addr >> setShift;
-    uint64_t set = line_addr & setMask;
-    uint64_t tag = line_addr >> tagShift;
-    const Line *base = &lines[set * cfg.associativity];
-    for (uint32_t w = 0; w < cfg.associativity; ++w)
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    return false;
-}
-
-void
-Cache::flush()
-{
-    for (auto &l : lines)
-        l = Line();
+    lines_.assign(sets * config.associativity, Line());
+    setShift_ = log2u(config.lineBytes);
+    tagShift_ = log2u(sets);
+    setMask_ = sets - 1;
+    assoc_ = config.associativity;
+    for (Memo &m : memos_)
+        m.line = lines_.data(); // addr = ~0 keeps every slot unreachable
 }
 
 CacheSweep::CacheSweep(const std::vector<CacheConfig> &configs)
 {
+    caches.reserve(configs.size());
     for (const auto &c : configs)
         caches.emplace_back(c);
-}
-
-void
-CacheSweep::access(uint64_t addr)
-{
-    for (auto &c : caches)
-        c.access(addr);
 }
 
 void

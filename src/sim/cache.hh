@@ -4,7 +4,8 @@
  * multi-configuration harness that evaluates a sweep of cache sizes in a
  * single pass over the access stream (the paper cites Hill & Smith [13]
  * for this single-pass idea and uses it both during profiling and in the
- * Figure 7/8 evaluation).
+ * Figure 7/8 evaluation). The same Cache serves profiling, the timed
+ * core and the sweep.
  */
 
 #ifndef BSYN_SIM_CACHE_HH
@@ -13,6 +14,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "support/inline.hh"
 
 namespace bsyn::sim
 {
@@ -46,33 +49,89 @@ struct CacheStats
     double missRate() const { return 1.0 - hitRate(); }
 };
 
-/** One set-associative LRU cache. */
+/**
+ * One set-associative true-LRU cache with a small direct-mapped line
+ * memo in front of the set walk: repeated accesses to recently touched
+ * lines — runs of stack slots, streaming arrays, interleaved load/store
+ * streams — short-circuit to a single tag compare.
+ *
+ * Move-only: the memo holds pointers into the cache's own line vector.
+ * A move keeps the buffer; a copy would leave every memo pointing into
+ * the source.
+ */
 class Cache
 {
   public:
-    explicit Cache(const CacheConfig &cfg);
+    explicit Cache(const CacheConfig &config);
+
+    Cache(Cache &&) noexcept = default;
+    Cache &operator=(Cache &&) noexcept = default;
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
 
     /**
-     * Access the line holding @p addr; @return true on hit. Writes
-     * allocate like reads (write-allocate, write-back is irrelevant
-     * without a backing hierarchy model). Inline — this sits on the
-     * per-memory-access hot path of the instrumented execution engine.
+     * Access @p size bytes starting at @p addr: every cache line the
+     * access overlaps is touched (a load/store straddling a line
+     * boundary costs one access per line). Writes allocate like reads
+     * (write-allocate; write-back is irrelevant without a backing
+     * hierarchy model). @return true only if every line hit.
      */
-    bool
-    access(uint64_t addr)
+    BSYN_FORCE_INLINE bool
+    access(uint64_t addr, uint32_t size = 1)
+    {
+        bool hit = accessLine(addr);
+        if (size > 1) {
+            uint64_t first = addr >> setShift_;
+            uint64_t last = (addr + size - 1) >> setShift_;
+            for (uint64_t line = first + 1; line <= last; ++line) {
+                bool h = accessLine(line << setShift_);
+                hit = hit && h;
+            }
+        }
+        return hit;
+    }
+
+    const CacheStats &stats() const { return stats_; }
+
+  private:
+    struct Line
+    {
+        uint64_t tag = 0;
+        bool valid = false;
+        uint64_t lruStamp = 0;
+    };
+
+    /** The memo hit path is forced inline at every call site: left to
+     *  the inliner, how many of the dispatch loop's hundreds of sites
+     *  get it depends on whatever else shares the translation unit's
+     *  growth budget. The set walk behind it stays out of line. */
+    BSYN_FORCE_INLINE bool
+    accessLine(uint64_t addr)
     {
         ++stats_.accesses;
-        ++clock;
-        uint64_t line_addr = addr >> setShift;
-        uint64_t set = line_addr & setMask;
-        uint64_t tag = line_addr >> tagShift;
-        Line *base = &lines[set * cfg.associativity];
+        ++clock_;
+        uint64_t line_addr = addr >> setShift_;
+        uint64_t tag = line_addr >> tagShift_;
+        Memo &m = memos_[line_addr & (kMemoSlots - 1)];
+        if (m.addr == line_addr && m.line->valid &&
+            m.line->tag == tag) {
+            m.line->lruStamp = clock_;
+            return true;
+        }
+        return lookupLine(line_addr, tag);
+    }
 
+    bool
+    lookupLine(uint64_t line_addr, uint64_t tag)
+    {
+        uint64_t set = line_addr & setMask_;
+        Line *base = &lines_[set * assoc_];
         Line *victim = base;
-        for (uint32_t w = 0; w < cfg.associativity; ++w) {
+        for (uint32_t w = 0; w < assoc_; ++w) {
             Line &l = base[w];
             if (l.valid && l.tag == tag) {
-                l.lruStamp = clock;
+                l.lruStamp = clock_;
+                memos_[line_addr & (kMemoSlots - 1)] = {line_addr, &l};
                 return true;
             }
             if (!l.valid) {
@@ -84,54 +143,34 @@ class Cache
         ++stats_.misses;
         victim->valid = true;
         victim->tag = tag;
-        victim->lruStamp = clock;
+        victim->lruStamp = clock_;
+        memos_[line_addr & (kMemoSlots - 1)] = {line_addr, victim};
         return false;
     }
 
-    /**
-     * Access @p size bytes starting at @p addr: every cache line the
-     * access overlaps is touched (a load/store straddling a line
-     * boundary costs one access per line). @return true only if every
-     * line hit.
-     */
-    bool
-    access(uint64_t addr, uint32_t size)
-    {
-        bool hit = access(addr);
-        if (size > 1) {
-            uint64_t first = addr >> setShift;
-            uint64_t last = (addr + size - 1) >> setShift;
-            for (uint64_t line = first + 1; line <= last; ++line) {
-                bool h = access(line << setShift);
-                hit = hit && h;
-            }
-        }
-        return hit;
-    }
-
-    /** Access without updating statistics (used for warmup). */
-    bool probe(uint64_t addr) const;
-
-    const CacheConfig &config() const { return cfg; }
-    const CacheStats &stats() const { return stats_; }
-    void resetStats() { stats_ = CacheStats(); }
-    void flush();
-
-  private:
-    struct Line
-    {
-        uint64_t tag = 0;
-        bool valid = false;
-        uint64_t lruStamp = 0;
-    };
-
-    CacheConfig cfg;
     CacheStats stats_;
-    std::vector<Line> lines; ///< sets * ways, row-major by set
-    uint64_t clock = 0;
-    uint32_t setShift = 0;
-    uint32_t tagShift = 0;
-    uint64_t setMask = 0;
+    std::vector<Line> lines_; ///< sets * ways, row-major by set
+    uint64_t clock_ = 0;
+    uint32_t setShift_ = 0;
+    uint32_t tagShift_ = 0;
+    uint64_t setMask_ = 0;
+    uint32_t assoc_ = 1;
+
+    /**
+     * Direct-mapped memo in front of the set walk, indexed by the low
+     * line-address bits. One entry thrashes when a load stream, a
+     * store stream and the frame line interleave; a handful of slots
+     * keeps each stream's line hot. Entries re-check validity and tag,
+     * so an aliasing eviction between touches falls back to the full
+     * walk and the LRU state is exactly that of the plain set walk.
+     */
+    static constexpr size_t kMemoSlots = 8;
+    struct Memo
+    {
+        uint64_t addr = ~0ull; ///< memoized line address
+        Line *line = nullptr;
+    };
+    Memo memos_[kMemoSlots];
 };
 
 /**
@@ -143,11 +182,9 @@ class CacheSweep
   public:
     explicit CacheSweep(const std::vector<CacheConfig> &configs);
 
-    void access(uint64_t addr);
-
     /** Width-aware feed: straddling accesses touch every overlapped
      *  line in every member cache. */
-    void access(uint64_t addr, uint32_t size);
+    void access(uint64_t addr, uint32_t size = 1);
 
     size_t size() const { return caches.size(); }
     const Cache &at(size_t i) const { return caches[i]; }

@@ -1,6 +1,6 @@
 #include "sim/core_model.hh"
 
-#include <algorithm>
+#include <utility>
 
 #include "sim/decoded_program.hh"
 #include "sim/timed_core.hh"
@@ -12,25 +12,6 @@ namespace bsyn::sim
 using isa::MClass;
 using isa::MInst;
 using isa::MKind;
-
-CoreModel::CoreModel(const CoreConfig &config)
-    : cfg(config), l1(config.l1d), l2cache(config.l2),
-      pred(makePredictor(config.predictor))
-{
-    robRing.assign(static_cast<size_t>(std::max(cfg.robSize, 1)), 0);
-    ready.assign(64, 0);
-}
-
-CoreModel::~CoreModel() = default;
-
-uint64_t &
-CoreModel::regReady(int r)
-{
-    size_t idx = static_cast<size_t>(r);
-    if (idx >= ready.size())
-        ready.resize(idx + 64, 0);
-    return ready[idx];
-}
 
 uint64_t
 timingBaseLatency(MClass cls, const CoreConfig &cfg)
@@ -51,12 +32,6 @@ timingBaseLatency(MClass cls, const CoreConfig &cfg)
       case MClass::Other: return 1;
     }
     return 1;
-}
-
-uint64_t
-CoreModel::baseLatency(MClass cls) const
-{
-    return timingBaseLatency(cls, cfg);
 }
 
 MClass
@@ -110,148 +85,17 @@ prepareTimingInst(const MInst &mi, const CoreConfig &cfg)
     return p;
 }
 
-void
-CoreModel::prepare(const isa::MachineProgram &prog)
-{
-    prepared.clear();
-    prepared.reserve(prog.code.size());
-    for (const MInst &mi : prog.code)
-        prepared.push_back(prepareInst(mi));
-}
-
-void
-CoreModel::onInstruction(int pc, const MInst &mi)
-{
-    retirePending();
-    beginInstruction(pc, prepareInst(mi));
-}
-
-void
-CoreModel::onMemAccess(int, uint64_t addr, uint32_t size, bool is_write,
-                       uint64_t)
-{
-    noteMemAccess(addr, size, is_write);
-}
-
-void
-CoreModel::onBranch(int, bool taken)
-{
-    pending.taken = taken;
-}
-
-void
-CoreModel::retirePending()
-{
-    if (!pending.valid)
-        return;
-    Pending p = pending;
-    pending.valid = false;
-    ++instructions;
-
-    // --- Dispatch: width-limited, gated by fetch redirect and ROB space.
-    uint64_t rob_free = robRing[robHead]; // retire cycle of the entry we
-                                          // are about to reuse
-    uint64_t min_dispatch = std::max(fetchReady, rob_free);
-    if (min_dispatch > dispatchCycle) {
-        dispatchCycle = min_dispatch;
-        dispatchSlots = 0;
-    }
-    if (dispatchSlots >= cfg.width) {
-        ++dispatchCycle;
-        dispatchSlots = 0;
-        if (dispatchCycle < min_dispatch)
-            dispatchCycle = min_dispatch;
-    }
-    ++dispatchSlots;
-
-    // --- Issue: operands ready; in-order cores also issue in order.
-    uint64_t issue = dispatchCycle;
-    for (int i = 0; i < p.numSrcs; ++i)
-        issue = std::max(issue, regReady(p.srcs[i]));
-    if (p.hasLoad) {
-        const FwdEntry &e = storeReady[p.loadAddr % fwdSlots];
-        if (e.addr == p.loadAddr)
-            issue = std::max(issue, e.ready); // forwarded value
-    }
-    if (cfg.inOrder) {
-        if (issue < lastIssue) {
-            issue = lastIssue;
-        }
-        if (issue == lastIssue && issueSlots >= cfg.width)
-            issue = lastIssue + 1;
-        if (issue != lastIssue) {
-            lastIssue = issue;
-            issueSlots = 0;
-        }
-        ++issueSlots;
-    }
-
-    uint64_t complete = issue + baseLatency(p.cls) + p.extraLatency;
-
-    if (p.dst >= 0)
-        regReady(p.dst) = complete;
-    if (p.hasStore) {
-        FwdEntry &e = storeReady[p.storeAddr % fwdSlots];
-        e.addr = p.storeAddr;
-        e.ready = complete;
-    }
-    if (p.isCallRet) {
-        // Frame switch: approximate by making every register ready when
-        // the call/return completes.
-        for (auto &r : ready)
-            r = std::max(r, complete);
-    }
-
-    // --- In-order retirement (ROB).
-    uint64_t retire = std::max(complete, lastRetire);
-    lastRetire = retire;
-    robRing[robHead] = retire;
-    robHead = (robHead + 1) % robRing.size();
-
-    // --- Branch resolution.
-    if (p.isBranch) {
-        bool predicted = pred->predict(static_cast<uint64_t>(p.pc));
-        pred->branch(static_cast<uint64_t>(p.pc), p.taken);
-        if (predicted != p.taken) {
-            if (events)
-                ++events->mispredicts[static_cast<size_t>(p.pc)];
-            fetchReady = std::max(
-                fetchReady,
-                complete + static_cast<uint64_t>(cfg.mispredictPenalty));
-        }
-    }
-}
-
-TimingStats
-CoreModel::finish()
-{
-    retirePending();
-    TimingStats out;
-    out.instructions = instructions;
-    out.cycles = std::max<uint64_t>(lastRetire, 1);
-    out.branch = pred->stats();
-    out.l1d = l1.stats();
-    out.l2 = l2cache.stats();
-    return out;
-}
-
 TimingStats
 simulateTiming(const isa::MachineProgram &prog, const CoreConfig &cfg,
-               const ExecLimits &limits, TimingEngine engine)
+               const ExecLimits &limits)
 {
-    return simulateTiming(DecodedProgram(prog), cfg, limits, engine);
+    return simulateTiming(DecodedProgram(prog), cfg, limits);
 }
 
 TimingStats
 simulateTiming(const DecodedProgram &prog, const CoreConfig &cfg,
-               const ExecLimits &limits, TimingEngine engine)
+               const ExecLimits &limits)
 {
-    if (engine == TimingEngine::Reference) {
-        CoreModel model(cfg);
-        model.prepare(prog.program());
-        executeTimed(prog, model, limits);
-        return model.finish();
-    }
     return simulateTiming(prog, TimedProgram(prog, cfg), cfg, limits);
 }
 
@@ -264,7 +108,7 @@ simulateTiming(const DecodedProgram &prog, const TimedProgram &timed,
                 "under l1HitLatency=%d",
                 timed.l1HitLatency(), cfg.l1HitLatency);
     TimedCore core(cfg);
-    executeTimedSpecialized(prog, timed, core, limits);
+    executeOnCore(prog, timed, core, limits);
     return core.finish();
 }
 
@@ -276,7 +120,7 @@ simulateTimingPhased(const DecodedProgram &prog, const CoreConfig &cfg,
     TimedProgram timed(prog, cfg);
     TimedCore core(cfg);
     core.setCheckpoints(std::move(boundaries));
-    executeTimedSpecialized(prog, timed, core, limits);
+    executeOnCore(prog, timed, core, limits);
     PhasedTimingStats out;
     out.stats = core.finish();
     out.checkpointCycles = core.checkpointCycles();

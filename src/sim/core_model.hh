@@ -1,18 +1,18 @@
 /**
  * @file
- * Trace-driven processor timing models: an out-of-order core (ROB,
- * width-limited dispatch, operand-ready scheduling, cache-miss and
- * branch-misprediction penalties) standing in for the paper's PTLSim
- * 2-wide out-of-order configuration, and an in-order (EPIC-like) variant
- * whose performance depends much more strongly on code quality — the
- * property that makes the paper's Itanium 2 respond to -O2/-O3.
+ * Trace-driven processor timing: the core configuration, the timing
+ * results and the simulateTiming entry points. The cores are an
+ * out-of-order model (ROB, width-limited dispatch, operand-ready
+ * scheduling, cache-miss and branch-misprediction penalties) standing
+ * in for the paper's PTLSim 2-wide out-of-order configuration, and an
+ * in-order (EPIC-like) variant whose performance depends much more
+ * strongly on code quality — the property that makes the paper's
+ * Itanium 2 respond to -O2/-O3. The scheduler itself is TimedCore
+ * (sim/timed_core.hh).
  */
 
 #ifndef BSYN_SIM_CORE_MODEL_HH
 #define BSYN_SIM_CORE_MODEL_HH
-
-#include <array>
-#include <memory>
 
 #include "sim/branch_predictor.hh"
 #include "sim/cache.hh"
@@ -44,11 +44,11 @@ struct CoreConfig
 };
 
 /**
- * Per-PC dynamic timing event counters, for differential comparison of
- * the reference and specialized timing engines at per-instruction
- * granularity (aggregate TimingStats could mask compensating errors;
- * per-PC attribution cannot). Filled only when a caller attaches one
- * via CoreModel::recordEvents / TimedCore::recordEvents.
+ * Per-PC dynamic timing event counters, for differential comparison
+ * against the reference core model at per-instruction granularity
+ * (aggregate TimingStats could mask compensating errors; per-PC
+ * attribution cannot). Filled only when a caller attaches one via
+ * TimedCore::recordEvents.
  */
 struct PerPcTimingEvents
 {
@@ -102,9 +102,9 @@ struct PreparedTimingInst
 
 /**
  * Derive one PC's scheduling metadata from its MInst — the single
- * source of truth for every timing path (the reference CoreModel
- * caches it per PC in prepare() or derives it on the fly as an
- * observer; TimedProgram folds it further for the specialized engine).
+ * source of truth for every timing path (TimedProgram folds it further
+ * for the scheduler; the reference model derives it per retired
+ * instruction).
  */
 PreparedTimingInst prepareTimingInst(const isa::MInst &mi,
                                      const CoreConfig &cfg);
@@ -120,202 +120,24 @@ isa::MClass timingClass(const isa::MInst &mi);
 /** Execution latency of a timing class under @p cfg. */
 uint64_t timingBaseLatency(isa::MClass cls, const CoreConfig &cfg);
 
-/**
- * The reference timing model. Consumes the dynamic stream as an
- * ExecObserver (attach to sim::execute() and call finish()
- * afterwards) or non-virtually through the timed dispatch mode
- * (executeTimed) once prepare()d. The default timing path is the
- * specialized engine in sim/timed_core.hh; this class is the golden
- * model it is differentially tested against — select it at run time
- * with TimingEngine::Reference when debugging.
- */
-class CoreModel : public ExecObserver
-{
-  public:
-    explicit CoreModel(const CoreConfig &cfg);
-    ~CoreModel() override;
-
-    void onInstruction(int pc, const isa::MInst &mi) override;
-    void onMemAccess(int pc, uint64_t addr, uint32_t size,
-                     bool is_write, uint64_t raw_value = 0) override;
-    void onBranch(int pc, bool taken) override;
-
-    /**
-     * Precompute the per-PC scheduling metadata (timing class, source
-     * registers, fused-load latency...) of @p prog so the timed
-     * dispatch mode (sim::executeTimed) can step the model without
-     * re-deriving any of it from the MInst per retired instruction.
-     */
-    void prepare(const isa::MachineProgram &prog);
-
-    /** Non-virtual onInstruction over prepare()d metadata. */
-    void
-    stepPrepared(int pc)
-    {
-        retirePending();
-        beginInstruction(pc, prepared[static_cast<size_t>(pc)]);
-    }
-
-    /** Attach per-PC event counters (differential testing). */
-    void
-    recordEvents(PerPcTimingEvents *e, size_t nPcs)
-    {
-        events = e;
-        if (events)
-            events->init(nPcs);
-    }
-
-    /** Non-virtual onMemAccess (width-aware cache simulation). */
-    void
-    noteMemAccess(uint64_t addr, uint32_t size, bool is_write)
-    {
-        bool l1_hit = l1.access(addr, size);
-        bool l2_hit = true;
-        if (!l1_hit && cfg.hasL2)
-            l2_hit = l2cache.access(addr, size);
-        if (events && !l1_hit) {
-            ++events->l1Misses[static_cast<size_t>(pending.pc)];
-            if (cfg.hasL2 && !l2_hit)
-                ++events->l2Misses[static_cast<size_t>(pending.pc)];
-        }
-        if (is_write) {
-            pending.hasStore = true;
-            pending.storeAddr = addr >> 2; // word granularity
-            return; // stores retire without stalling the chain
-        }
-        pending.hasLoad = true;
-        pending.loadAddr = addr >> 2;
-        if (!l1_hit) {
-            pending.extraLatency +=
-                static_cast<uint64_t>(cfg.l1MissPenalty);
-            if (cfg.hasL2 && !l2_hit)
-                pending.extraLatency +=
-                    static_cast<uint64_t>(cfg.l2MissPenalty);
-        }
-    }
-
-    /** Non-virtual onBranch. */
-    void noteBranch(bool taken) { pending.taken = taken; }
-
-    /** Finalize the last in-flight instruction and return the totals. */
-    TimingStats finish();
-
-    const CoreConfig &config() const { return cfg; }
-
-  private:
-    using PreparedInst = PreparedTimingInst;
-    struct Pending
-    {
-        bool valid = false;
-        int pc = 0;
-        isa::MClass cls = isa::MClass::IntAlu;
-        int dst = -1;
-        int srcs[4] = {-1, -1, -1, -1};
-        int numSrcs = 0;
-        uint64_t extraLatency = 0;
-        bool isBranch = false;
-        bool taken = false;
-        bool isCallRet = false;
-        uint64_t loadAddr = 0;  ///< address read (store-forward check)
-        bool hasLoad = false;
-        uint64_t storeAddr = 0; ///< address written
-        bool hasStore = false;
-    };
-
-    PreparedInst
-    prepareInst(const isa::MInst &mi) const
-    {
-        return prepareTimingInst(mi, cfg);
-    }
-
-    /** Load @p p into the in-flight slot (shared by stepPrepared and
-     *  the virtual onInstruction). */
-    void
-    beginInstruction(int pc, const PreparedInst &p)
-    {
-        pending.valid = true;
-        pending.pc = pc;
-        pending.cls = p.cls;
-        pending.extraLatency = p.fusedLoadLatency;
-        pending.dst = p.dst;
-        pending.numSrcs = p.numSrcs;
-        for (int i = 0; i < p.numSrcs; ++i)
-            pending.srcs[i] = p.srcs[i];
-        pending.isBranch = p.isBranch;
-        pending.taken = false;
-        pending.isCallRet = p.isCallRet;
-        pending.hasLoad = false;
-        pending.hasStore = false;
-    }
-
-    void retirePending();
-    uint64_t baseLatency(isa::MClass cls) const;
-    uint64_t &regReady(int r);
-
-    CoreConfig cfg;
-    Cache l1;
-    Cache l2cache;
-    std::unique_ptr<BranchPredictor> pred;
-    std::vector<PreparedInst> prepared; ///< per PC, empty until prepare()
-
-    Pending pending;
-    std::vector<uint64_t> ready; ///< per-register ready cycle
-
-    uint64_t dispatchCycle = 0;
-    int dispatchSlots = 0;
-    uint64_t lastIssue = 0;
-    int issueSlots = 0;
-    uint64_t lastRetire = 0;
-    uint64_t fetchReady = 0;
-    std::vector<uint64_t> robRing; ///< retire cycles of last robSize insts
-    size_t robHead = 0;
-
-    uint64_t instructions = 0;
-
-    /**
-     * Store-to-load forwarding: completion cycle of the last store per
-     * (word-granular) address, so memory-carried dependence chains —
-     * ubiquitous in -O0 code — are timed honestly. Direct-mapped and
-     * tagged; collisions simply miss (no false dependences).
-     */
-    static constexpr size_t fwdSlots = 1u << 16;
-    struct FwdEntry
-    {
-        uint64_t addr = ~0ull;
-        uint64_t ready = 0;
-    };
-    std::array<FwdEntry, fwdSlots> storeReady{};
-
-    PerPcTimingEvents *events = nullptr;
-};
-
-/** Which timing implementation simulateTiming runs. */
-enum class TimingEngine : uint8_t
-{
-    Specialized, ///< per-PC specialized engine (sim/timed_core.hh)
-    Reference,   ///< golden CoreModel path (debugging / differential)
-};
-
 class TimedProgram;
 
 /** Convenience: execute @p prog under a core model; @return timing.
  *  Decodes once and runs the timed dispatch mode. */
 TimingStats simulateTiming(const isa::MachineProgram &prog,
                            const CoreConfig &cfg,
-                           const ExecLimits &limits = {},
-                           TimingEngine engine = TimingEngine::Specialized);
+                           const ExecLimits &limits = {});
 
 /** Timed run over an existing decode — callers sweeping one program
  *  across several core configs (Fig 10) decode once and reuse it. */
 TimingStats simulateTiming(const DecodedProgram &prog,
                            const CoreConfig &cfg,
-                           const ExecLimits &limits = {},
-                           TimingEngine engine = TimingEngine::Specialized);
+                           const ExecLimits &limits = {});
 
 /** Timed run over an existing decode *and* prepared metadata — the
  *  innermost sweep form: one TimedProgram serves every configuration
  *  that shares its latencies (asserted), so a cache-size sweep pays
- *  decode + prepare once. Always the specialized engine. */
+ *  decode + prepare once. */
 TimingStats simulateTiming(const DecodedProgram &prog,
                            const TimedProgram &timed,
                            const CoreConfig &cfg,
@@ -334,7 +156,7 @@ struct PhasedTimingStats
 /** Timed run that records the cycle count at each retired-instruction
  *  boundary — the per-phase CPI primitive (fidelity scoring cuts both
  *  the original and the clone at the original's phase boundaries).
- *  Checkpoints ride the specialized engine's retire path, so the
+ *  Checkpoints ride the scheduler's retire path, so the
  *  timing result is identical to simulateTiming over the same decode.
  *  @p boundaries must be strictly increasing. */
 PhasedTimingStats

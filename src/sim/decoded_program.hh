@@ -11,8 +11,8 @@
  * switches of the reference interpreter disappear from the hot path.
  *
  * The decoded form is a pure accelerator: executing it produces
- * ExecStats byte-identical to the reference engine (asserted by the
- * differential test suite).
+ * ExecStats byte-identical to the reference decode-per-step
+ * interpreter in tests/oracle (asserted by the differential suite).
  */
 
 #ifndef BSYN_SIM_DECODED_PROGRAM_HH
@@ -27,8 +27,6 @@
 
 namespace bsyn::sim
 {
-
-class CoreModel;
 
 /**
  * Precomputed handler id: the MKind/opcode/type/signedness decision
@@ -237,8 +235,8 @@ struct InstrumentedCounters
     std::vector<uint64_t> memAccesses;
     std::vector<uint64_t> memMisses;
 
-    /** Per-CondBr outcome counters, same accounting as
-     *  profile::BranchStats::record(). */
+    /** Per-CondBr outcome counters; a transition is an outcome that
+     *  differs from the same branch's previous one. */
     struct Branch
     {
         uint64_t executions = 0;
@@ -255,7 +253,7 @@ struct InstrumentedCounters
  * ExecStats to execute(), plus @p out filled with the dense counters a
  * cache of geometry @p profiling_cache observes. The per-access cache
  * lookup is inlined into the memory handlers; no ExecObserver is
- * involved.
+ * involved. This is the sliced mode with slicing off.
  */
 ExecStats executeInstrumented(const DecodedProgram &prog,
                               const CacheConfig &profiling_cache,
@@ -298,12 +296,14 @@ struct SlicedCounters
 
 /**
  * The slice checkpointing policy, shared verbatim by the instrumented
- * engine hooks and the observer-based profiler so both produce the
- * same boundaries on the same retired-instruction stream (the
- * differential-profile suite depends on it). beforeRetire() must be
- * called before each instruction's counters are bumped: a boundary cut
- * therefore lands between instructions, never splitting one
- * instruction's retire/memory/branch events across two slices.
+ * engine hooks and the reference profiler in tests/oracle so both
+ * produce the same boundaries on the same retired-instruction stream
+ * (the differential-profile suite depends on it). beforeRetire() must
+ * be called before each instruction's counters are bumped: a boundary
+ * cut therefore lands between instructions, never splitting one
+ * instruction's retire/memory/branch events across two slices. With
+ * slicing off (no output, or a zero base length) the next boundary is
+ * unreachable, so the check is one never-taken compare.
  */
 class SliceRecorder
 {
@@ -313,7 +313,7 @@ class SliceRecorder
     void
     beforeRetire(const InstrumentedCounters &c)
     {
-        if (out_ && retired_ == nextBoundary_)
+        if (retired_ == nextBoundary_)
             cut(c);
         ++retired_;
     }
@@ -327,15 +327,14 @@ class SliceRecorder
     SlicedCounters *out_;
     uint64_t retired_ = 0;
     uint64_t sliceLen_ = 0;
-    uint64_t nextBoundary_ = 0;
+    uint64_t nextBoundary_ = ~0ull;
     uint32_t maxSlices_ = 0;
 };
 
 /**
  * executeInstrumented() plus the deterministic slice stream: identical
  * semantics, ExecStats and aggregate counters, with @p slices filled
- * with cumulative checkpoints under @p slice_opts. The plain
- * instrumented path is untouched — slicing costs it nothing.
+ * with cumulative checkpoints under @p slice_opts.
  */
 ExecStats executeInstrumentedSliced(const DecodedProgram &prog,
                                     const CacheConfig &profiling_cache,
@@ -343,16 +342,6 @@ ExecStats executeInstrumentedSliced(const DecodedProgram &prog,
                                     SlicedCounters &slices,
                                     const SliceOptions &slice_opts = {},
                                     const ExecLimits &limits = {});
-
-/**
- * Execute under @p model (timing) on the non-virtual timed dispatch
- * mode: the model must have been prepared for this program
- * (CoreModel::prepare), so each step consumes precomputed per-PC
- * metadata instead of re-deriving operands from the MInst. Call
- * model.finish() afterwards, as with the observer path.
- */
-ExecStats executeTimed(const DecodedProgram &prog, CoreModel &model,
-                       const ExecLimits &limits = {});
 
 } // namespace bsyn::sim
 

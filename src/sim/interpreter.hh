@@ -1,8 +1,9 @@
 /**
  * @file
- * Functional interpreter for MachinePrograms with Pin-style observation
- * hooks. The profiler, the cache simulator and the timing models all
- * attach as observers of the dynamic instruction stream.
+ * Functional execution of MachinePrograms with Pin-style observation
+ * hooks: the observer interface, the execution statistics and limits,
+ * and the decode-and-run entry point. The engine itself is the
+ * predecoded dispatch loop of sim/decoded_program.hh.
  */
 
 #ifndef BSYN_SIM_INTERPRETER_HH
@@ -63,29 +64,17 @@ struct ExecStats
     bool operator!=(const ExecStats &o) const { return !(*this == o); }
 };
 
-/** Which execution engine runs the program. */
-enum class ExecEngine : uint8_t
-{
-    /** Predecoded threaded-dispatch engine (decoded_program.hh) — the
-     *  default. Decodes once per execute() call; callers re-running one
-     *  program should predecode and use the DecodedProgram overload. */
-    Predecoded,
-    /** The original decode-per-step interpreter, kept as the golden
-     *  model the differential tests compare against. */
-    Reference,
-};
-
 /** Interpreter configuration. */
 struct ExecLimits
 {
     uint64_t maxInstructions = 4ull << 30; ///< runaway guard
     uint64_t stackBytes = 1u << 20;
-    ExecEngine engine = ExecEngine::Predecoded;
 };
 
 /**
- * Execute @p prog from its entry function to completion on the engine
- * selected by @p limits (predecoded by default).
+ * Execute @p prog from its entry function to completion. Decodes once
+ * per call; callers re-running one program should predecode and use
+ * the DecodedProgram overload.
  *
  * @param prog the lowered program (must have an entry function).
  * @param observer optional observation hooks (nullptr = fast path).
@@ -95,15 +84,6 @@ struct ExecLimits
 ExecStats execute(const isa::MachineProgram &prog,
                   ExecObserver *observer = nullptr,
                   const ExecLimits &limits = {});
-
-/**
- * Execute @p prog on the reference decode-per-step interpreter,
- * regardless of limits.engine. The differential suite runs every
- * workload through both engines and asserts identical ExecStats.
- */
-ExecStats executeReference(const isa::MachineProgram &prog,
-                           ExecObserver *observer = nullptr,
-                           const ExecLimits &limits = {});
 
 } // namespace bsyn::sim
 

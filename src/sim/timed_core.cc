@@ -2,32 +2,11 @@
 
 #include <algorithm>
 
+#include "sim/dispatch.hh"
 #include "support/error.hh"
 
 namespace bsyn::sim
 {
-
-namespace
-{
-
-bool
-isPow2(uint64_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
-
-uint32_t
-log2u(uint64_t v)
-{
-    uint32_t n = 0;
-    while (v > 1) {
-        v >>= 1;
-        ++n;
-    }
-    return n;
-}
-
-} // namespace
 
 TimedProgram::TimedProgram(const DecodedProgram &prog,
                            const CoreConfig &cfg)
@@ -77,50 +56,9 @@ TimedProgram::TimedProgram(const DecodedProgram &prog,
             ti.flags |= kSimple;
         if (reads && !writes)
             ti.flags |= kRetireAtRead;
-        ti.predIdx = static_cast<uint16_t>(pc & kPredMask);
+        ti.predIdx =
+            static_cast<uint16_t>(pc & BranchPredictor::kIndexMask);
         insts_.push_back(ti);
-    }
-}
-
-TimedCache::TimedCache(const CacheConfig &config)
-{
-    BSYN_ASSERT(isPow2(config.lineBytes),
-                "line size must be a power of two");
-    BSYN_ASSERT(config.sizeBytes %
-                        (config.lineBytes * config.associativity) ==
-                    0,
-                "cache size must be a multiple of line*assoc");
-    uint64_t sets = config.numSets();
-    BSYN_ASSERT(isPow2(sets), "set count must be a power of two");
-    lines_.assign(sets * config.associativity, Line());
-    setShift_ = log2u(config.lineBytes);
-    tagShift_ = log2u(sets);
-    setMask_ = sets - 1;
-    assoc_ = config.associativity;
-    for (Memo &m : memos_)
-        m.line = lines_.data(); // addr = ~0 keeps every slot unreachable
-}
-
-FlatPredictor::FlatPredictor(const std::string &name)
-{
-    if (name == "static") {
-        kind_ = Kind::Static;
-        return;
-    }
-    size_t tableSize = TimedProgram::kPredMask + 1;
-    if (name == "bimodal") {
-        kind_ = Kind::Bimodal;
-        bimodal_.assign(tableSize, 2);
-    } else if (name == "gshare") {
-        kind_ = Kind::Gshare;
-        gshare_.assign(tableSize, 2);
-    } else if (name == "tournament") {
-        kind_ = Kind::Tournament;
-        bimodal_.assign(tableSize, 2);
-        gshare_.assign(tableSize, 2);
-        chooser_.assign(tableSize, 2);
-    } else {
-        fatal("unknown branch predictor '%s'", name.c_str());
     }
 }
 
@@ -143,7 +81,7 @@ TimedCore::TimedCore(const CoreConfig &cfg)
 uint64_t *
 TimedCore::growReadyCold(size_t idx)
 {
-    // Replicates CoreModel::regReady's resize(idx + 64) in the shifted
+    // Replicates the reference model's resize(idx + 64) in the shifted
     // layout (reference register r lives at slot r + 2, so its new
     // size idx_reg + 64 maps to idx_shifted + 64): the lazy size
     // watermark is part of the golden model's observable behaviour
@@ -152,6 +90,12 @@ TimedCore::growReadyCold(size_t idx)
     if (ready_.size() < readySize_)
         ready_.resize(readySize_, 0);
     return ready_.data();
+}
+
+bool
+TimedCore::accessL2Cold(uint64_t addr, uint32_t size)
+{
+    return l2_.access(addr, size);
 }
 
 void
@@ -186,6 +130,63 @@ TimedCore::finish()
     out.l1d = l1_.stats();
     out.l2 = l2_.stats();
     return out;
+}
+
+namespace
+{
+
+using detail::Engine;
+
+/** The timed mode: a TimedCore stepped over the dense
+ *  per-PC TimedProgram metadata. Each hook hands the core the
+ *  prepared instruction it refers to, so the per-class retire paths
+ *  read their metadata straight from the dense array instead of an
+ *  in-flight slot; the scheduler's hot scalars ride in the engine's
+ *  checked-out Local (TimedCore::Sched), where they stay in
+ *  registers. */
+struct TimedHooks
+{
+    TimedCore &core;
+    const TimedProgram::Inst *ti;
+
+    using Local = TimedCore::Sched;
+    BSYN_FORCE_INLINE Local enter() { return core.makeSched(); }
+    BSYN_FORCE_INLINE void leave(Local &l) { core.sync(l); }
+
+    BSYN_FORCE_INLINE void
+    onInstruction(Local &l, int pc)
+    {
+        core.step(l, ti[static_cast<size_t>(pc)], pc);
+    }
+    BSYN_FORCE_INLINE void
+    onMemRead(Local &l, int pc, uint64_t addr, uint32_t size, uint64_t)
+    {
+        core.noteRead(l, ti[static_cast<size_t>(pc)], pc, addr, size);
+    }
+    BSYN_FORCE_INLINE void
+    onMemWrite(Local &l, int pc, uint64_t addr, uint32_t size, uint64_t)
+    {
+        core.noteWrite(l, ti[static_cast<size_t>(pc)], pc, addr, size);
+    }
+    BSYN_FORCE_INLINE void
+    onBranch(Local &l, int pc, bool taken)
+    {
+        core.noteBranch(l, ti[static_cast<size_t>(pc)], pc, taken);
+    }
+};
+
+} // namespace
+
+ExecStats
+executeOnCore(const DecodedProgram &prog, const TimedProgram &timed,
+              TimedCore &core, const ExecLimits &limits)
+{
+    BSYN_ASSERT(timed.size() == prog.size(),
+                "TimedProgram prepared from a different program "
+                "(%zu PCs vs %zu)",
+                timed.size(), prog.size());
+    TimedHooks hooks{core, timed.data()};
+    return Engine<TimedHooks>(prog, hooks, limits).run();
 }
 
 } // namespace bsyn::sim

@@ -1,22 +1,17 @@
 /**
  * @file
- * The specialized timing engine: per-PC scheduling metadata baked at
- * decode/prepare time (TimedProgram), with the cache and
- * branch-predictor state machines inlined into flat table walkers
- * (TimedCache, FlatPredictor) and the out-of-order/in-order scheduler
- * rewritten around them (TimedCore). Together with the fused timed
- * dispatch mode (executeTimedSpecialized) this is the fast timing
- * path; sim/core_model.hh + sim/cache.hh + sim/branch_predictor.hh
- * remain the golden reference it must match cycle-for-cycle (the
+ * The timing engine: per-PC scheduling metadata baked at decode/prepare
+ * time (TimedProgram) and the out-of-order/in-order scheduler
+ * (TimedCore) driving sim::Cache and sim::BranchPredictor inline from
+ * the timed dispatch mode (executeOnCore). The golden trace-driven
+ * core model it must match cycle-for-cycle lives in tests/oracle (the
  * differential-timing suite asserts TimingStats, ExecStats and the
  * per-PC event counters identical).
  *
- * What makes it faster than the reference CoreModel stepped through
- * TimingHooks:
- *  - no virtual predictor calls (and no double predict: the reference
- *    predicts once for the mispredict check and once inside
- *    BranchPredictor::branch(); FlatPredictor resolves both with one
- *    table walk, which is equivalent because predict() is pure);
+ * What makes it fast:
+ *  - no virtual predictor calls and no double predict: predict() is
+ *    pure in every predictor kind, so one predict-and-train table walk
+ *    per branch resolves both the mispredict check and the training;
  *  - no per-instruction Pending struct copy: each instruction retires
  *    at the point its last dynamic fact arrives (hook-free ones at
  *    dispatch, loads at the read hook, stores at the write hook,
@@ -24,8 +19,9 @@
  *    PC at prepare time), so nothing is carried across handlers;
  *  - the ROB ring advances by compare-and-reset instead of a runtime
  *    integer modulo;
- *  - a same-line memo in front of the L1 lookup batches the tag checks
- *    of consecutive accesses to one cache line;
+ *  - the cache's same-line memo batches the tag checks of consecutive
+ *    accesses to one cache line, and only the L1 memo check is inlined
+ *    into the memory handlers (the L2 lookup behind a miss is cold);
  *  - base latencies, source registers and the predictor table index
  *    are read from a dense per-PC array prepared once (and reusable
  *    across sweep points with equal latencies — see TimedProgram).
@@ -37,27 +33,18 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/branch_predictor.hh"
+#include "sim/cache.hh"
 #include "sim/core_model.hh"
 #include "sim/decoded_program.hh"
-
-// The hot members below must fold into the dispatch handlers that call
-// them — an out-of-line call per retired instruction costs more than
-// the scheduler arithmetic itself at the throughput this engine
-// targets.
-#if defined(__GNUC__) || defined(__clang__)
-#define BSYN_TIMED_INLINE inline __attribute__((always_inline))
-#define BSYN_TIMED_NOINLINE __attribute__((noinline))
-#else
-#define BSYN_TIMED_INLINE inline
-#define BSYN_TIMED_NOINLINE
-#endif
+#include "support/inline.hh"
 
 namespace bsyn::sim
 {
 
 /**
  * Scheduling metadata of one program prepared for one latency
- * configuration: the per-PC half of CoreModel::prepare() with the
+ * configuration: prepareTimingInst() for every PC, with the
  * base latency pre-folded (so the scheduler adds one precomputed
  * number instead of switching on the class) and the predictor table
  * index pre-masked. Depends on the CoreConfig only through
@@ -99,10 +86,6 @@ class TimedProgram
      *  onMemWrite instead, carrying the load's penalty and address. */
     static constexpr uint8_t kRetireAtRead = 1u << 3;
 
-    /** Predictor table index mask: every table predictor is built with
-     *  table_bits = 12 (makePredictor defaults). */
-    static constexpr uint64_t kPredMask = (1ull << 12) - 1;
-
     TimedProgram(const DecodedProgram &prog, const CoreConfig &cfg);
 
     const Inst *data() const { return insts_.data(); }
@@ -119,195 +102,11 @@ class TimedProgram
 };
 
 /**
- * Set-associative true-LRU cache with the exact observable behaviour
- * of sim::Cache (accesses/misses counters, LRU stamps, straddle
- * accounting) plus a small direct-mapped line memo: repeated accesses
- * to recently touched lines — runs of stack slots, streaming arrays,
- * interleaved load/store streams — short-circuit the set walk to a
- * single tag compare.
- */
-class TimedCache
-{
-  public:
-    explicit TimedCache(const CacheConfig &config);
-
-    BSYN_TIMED_INLINE bool
-    access(uint64_t addr, uint32_t size)
-    {
-        bool hit = accessLine(addr);
-        if (size > 1) {
-            uint64_t first = addr >> setShift_;
-            uint64_t last = (addr + size - 1) >> setShift_;
-            for (uint64_t line = first + 1; line <= last; ++line) {
-                bool h = accessLine(line << setShift_);
-                hit = hit && h;
-            }
-        }
-        return hit;
-    }
-
-    const CacheStats &stats() const { return stats_; }
-
-  private:
-    struct Line
-    {
-        uint64_t tag = 0;
-        bool valid = false;
-        uint64_t lruStamp = 0;
-    };
-
-    bool
-    accessLine(uint64_t addr)
-    {
-        ++stats_.accesses;
-        ++clock_;
-        uint64_t line_addr = addr >> setShift_;
-        uint64_t tag = line_addr >> tagShift_;
-        Memo &m = memos_[line_addr & (kMemoSlots - 1)];
-        if (m.addr == line_addr && m.line->valid &&
-            m.line->tag == tag) {
-            m.line->lruStamp = clock_;
-            return true;
-        }
-        return lookupLine(line_addr, tag);
-    }
-
-    bool
-    lookupLine(uint64_t line_addr, uint64_t tag)
-    {
-        uint64_t set = line_addr & setMask_;
-        Line *base = &lines_[set * assoc_];
-        Line *victim = base;
-        for (uint32_t w = 0; w < assoc_; ++w) {
-            Line &l = base[w];
-            if (l.valid && l.tag == tag) {
-                l.lruStamp = clock_;
-                memos_[line_addr & (kMemoSlots - 1)] = {line_addr, &l};
-                return true;
-            }
-            if (!l.valid) {
-                victim = &l;
-            } else if (victim->valid && l.lruStamp < victim->lruStamp) {
-                victim = &l;
-            }
-        }
-        ++stats_.misses;
-        victim->valid = true;
-        victim->tag = tag;
-        victim->lruStamp = clock_;
-        memos_[line_addr & (kMemoSlots - 1)] = {line_addr, victim};
-        return false;
-    }
-
-    CacheStats stats_;
-    std::vector<Line> lines_; ///< sets * ways, row-major by set
-    uint64_t clock_ = 0;
-    uint32_t setShift_ = 0;
-    uint32_t tagShift_ = 0;
-    uint64_t setMask_ = 0;
-    uint32_t assoc_ = 1;
-
-    /**
-     * Direct-mapped memo in front of the set walk, indexed by the low
-     * line-address bits. One entry thrashes when a load stream, a
-     * store stream and the frame line interleave; a handful of slots
-     * keeps each stream's line hot. Entries re-check validity and tag,
-     * so an aliasing eviction between touches falls back to the full
-     * walk and the state stays bit-identical to the reference.
-     */
-    static constexpr size_t kMemoSlots = 8;
-    struct Memo
-    {
-        uint64_t addr = ~0ull; ///< memoized line address
-        Line *line = nullptr;
-    };
-    Memo memos_[kMemoSlots];
-};
-
-/**
- * Every predictor of sim/branch_predictor.hh as one flat state
- * machine: a single predict-and-train table walk per branch replaces
- * the reference path's two virtual predict() calls plus the component
- * re-predictions inside TournamentPredictor::update(). predict() is
- * pure in every reference predictor, so folding the calls is exact.
- */
-class FlatPredictor
-{
-  public:
-    explicit FlatPredictor(const std::string &name);
-
-    /** Predict, update stats and train; @return the prediction. */
-    bool
-    predictAndTrain(uint64_t idx, bool taken)
-    {
-        bool predicted = true;
-        switch (kind_) {
-          case Kind::Static:
-            predicted = true;
-            break;
-          case Kind::Bimodal: {
-            uint8_t &c = bimodal_[idx];
-            predicted = c >= 2;
-            c = bump(c, taken);
-            break;
-          }
-          case Kind::Gshare: {
-            uint8_t &c = gshare_[(idx ^ history_) & TimedProgram::kPredMask];
-            predicted = c >= 2;
-            c = bump(c, taken);
-            history_ = ((history_ << 1) | (taken ? 1 : 0)) & historyMask_;
-            break;
-          }
-          case Kind::Tournament: {
-            uint8_t &bc = bimodal_[idx];
-            uint8_t &gc =
-                gshare_[(idx ^ history_) & TimedProgram::kPredMask];
-            bool bi = bc >= 2;
-            bool gs = gc >= 2;
-            uint8_t &ch = chooser_[idx];
-            predicted = (ch >= 2) ? gs : bi;
-            if (bi != gs)
-                ch = bump(ch, gs == taken);
-            bc = bump(bc, taken);
-            gc = bump(gc, taken);
-            history_ = ((history_ << 1) | (taken ? 1 : 0)) & historyMask_;
-            break;
-          }
-        }
-        ++stats_.branches;
-        stats_.correct += predicted == taken;
-        return predicted;
-    }
-
-    const PredictorStats &stats() const { return stats_; }
-
-  private:
-    enum class Kind : uint8_t { Static, Bimodal, Gshare, Tournament };
-
-    static uint8_t
-    bump(uint8_t counter, bool taken)
-    {
-        if (taken)
-            return counter < 3 ? counter + 1 : 3;
-        return counter > 0 ? counter - 1 : 0;
-    }
-
-    Kind kind_ = Kind::Static;
-    std::vector<uint8_t> bimodal_;
-    std::vector<uint8_t> gshare_;
-    std::vector<uint8_t> chooser_;
-    uint64_t history_ = 0;
-    uint64_t historyMask_ = TimedProgram::kPredMask;
-    PredictorStats stats_;
-};
-
-/**
- * The specialized core scheduler: CoreModel::retirePending() split
- * into per-class retire points that run inside the hook delivering the
- * instruction's last dynamic fact, with the component state machines
- * replaced by TimedCache/FlatPredictor. Drive it through
- * executeTimedSpecialized(); cycle counts, cache stats and predictor
- * stats are bit-identical to the reference CoreModel on the same
+ * The core scheduler: the reference model's monolithic retire step
+ * split into per-class retire points that run inside the hook
+ * delivering the instruction's last dynamic fact. Drive it through
+ * executeOnCore(); cycle counts, cache stats and predictor stats are
+ * bit-identical to the reference core model (tests/oracle) on the same
  * stream.
  */
 class TimedCore
@@ -316,7 +115,7 @@ class TimedCore
     explicit TimedCore(const CoreConfig &cfg);
 
     /** Store-to-load forwarding table entry, same geometry and
-     *  semantics as CoreModel::storeReady. Load lookups index with
+     *  semantics as the reference model's. Load lookups index with
      *  `addr & (kFwdSlots - 1)` and verify the full address. */
     static constexpr size_t kFwdSlots = 1u << 16;
     struct FwdEntry
@@ -385,7 +184,7 @@ class TimedCore
      * loop's Sched would have its address taken by an opaque callee
      * and the compiler could no longer scalarize it into registers.
      */
-    BSYN_TIMED_INLINE Sched
+    BSYN_FORCE_INLINE Sched
     makeSched()
     {
         Sched s;
@@ -414,7 +213,7 @@ class TimedCore
     }
 
     /** Write a checked-out state back (finish() reads members). */
-    BSYN_TIMED_INLINE void
+    BSYN_FORCE_INLINE void
     sync(const Sched &s)
     {
         dispatchCycle_ = s.dispatchCycle;
@@ -466,7 +265,7 @@ class TimedCore
      * handlers, and the scheduler keeps no per-instruction pending
      * state beyond the precomputed issue cycle.
      */
-    BSYN_TIMED_INLINE void
+    BSYN_FORCE_INLINE void
     step(Sched &s, const TimedProgram::Inst &ti, int pc)
     {
         (void)pc;
@@ -483,14 +282,14 @@ class TimedCore
     /** A load (or the fused-load half of a compute) at @p pc. Retire
      *  point for everything except load-op-store instructions, which
      *  carry the penalty and address to their write. */
-    BSYN_TIMED_INLINE void
+    BSYN_FORCE_INLINE void
     noteRead(Sched &s, const TimedProgram::Inst &ti, int pc,
              uint64_t addr, uint32_t size)
     {
         bool l1_hit = l1_.access(addr, size);
         bool l2_hit = true;
         if (!l1_hit && s.hasL2)
-            l2_hit = l2_.access(addr, size);
+            l2_hit = accessL2Cold(addr, size);
         uint64_t penalty = 0;
         if (!l1_hit) {
             penalty = s.l1MissPenalty;
@@ -513,14 +312,14 @@ class TimedCore
     /** A store (or fused-store half of a compute) at @p pc — always
      *  the retire point. Store misses record events but add no
      *  latency: stores retire without stalling the chain. */
-    BSYN_TIMED_INLINE void
+    BSYN_FORCE_INLINE void
     noteWrite(Sched &s, const TimedProgram::Inst &ti, int pc,
               uint64_t addr, uint32_t size)
     {
         bool l1_hit = l1_.access(addr, size);
         bool l2_hit = true;
         if (!l1_hit && s.hasL2)
-            l2_hit = l2_.access(addr, size);
+            l2_hit = accessL2Cold(addr, size);
         if (s.events && !l1_hit) {
             ++s.events->l1Misses[static_cast<size_t>(pc)];
             if (s.hasL2 && !l2_hit)
@@ -530,7 +329,7 @@ class TimedCore
     }
 
     /** A conditional branch resolving at @p pc — its retire point. */
-    BSYN_TIMED_INLINE void
+    BSYN_FORCE_INLINE void
     noteBranch(Sched &s, const TimedProgram::Inst &ti, int pc,
                bool taken)
     {
@@ -558,7 +357,7 @@ class TimedCore
      * here would cost more than the arithmetic. @return the issue
      * cycle before store-forwarding and in-order constraints.
      */
-    BSYN_TIMED_INLINE uint64_t
+    BSYN_FORCE_INLINE uint64_t
     frontHalf(Sched &s, const TimedProgram::Inst &ti)
     {
         // Dispatch: width-limited, gated by fetch redirect + ROB
@@ -603,7 +402,7 @@ class TimedCore
     }
 
     /** In-order issue-port constraint: no-op for out-of-order cores. */
-    BSYN_TIMED_INLINE uint64_t
+    BSYN_FORCE_INLINE uint64_t
     applyInOrder(Sched &s, uint64_t issue)
     {
         if (s.inOrder) {
@@ -632,7 +431,7 @@ class TimedCore
      * reference's monolithic retirePending(). @return the completion
      * cycle for those extras.
      */
-    BSYN_TIMED_INLINE uint64_t
+    BSYN_FORCE_INLINE uint64_t
     retireCommon(Sched &s, const TimedProgram::Inst &ti,
                  uint64_t issue, uint64_t extra)
     {
@@ -656,7 +455,7 @@ class TimedCore
      *  approximates the frame switch by making every register grown so
      *  far ready at completion (slots 0/1 — sink/zero — skipped: the
      *  zero slot must stay zero). */
-    BSYN_TIMED_INLINE void
+    BSYN_FORCE_INLINE void
     retireLocal(Sched &s, const TimedProgram::Inst &ti)
     {
         uint64_t complete = retireCommon(s, ti, frontHalf(s, ti), 0);
@@ -668,7 +467,7 @@ class TimedCore
     }
 
     /** Retire a load (kRetireAtRead) at its onMemRead hook. */
-    BSYN_TIMED_INLINE void
+    BSYN_FORCE_INLINE void
     retireLoad(Sched &s, const TimedProgram::Inst &ti, uint64_t waddr,
                uint64_t penalty)
     {
@@ -684,7 +483,7 @@ class TimedCore
      *  loadAddr — the fused-load address a load-op-store carried from
      *  its read hook, or kNoLoad (matches nothing) for plain stores.
      *  extra carries the fused load's miss penalty the same way. */
-    BSYN_TIMED_INLINE void
+    BSYN_FORCE_INLINE void
     retireStore(Sched &s, const TimedProgram::Inst &ti, uint64_t waddr)
     {
         const FwdEntry &e = s.fwd[s.loadAddr & (kFwdSlots - 1)];
@@ -707,9 +506,12 @@ class TimedCore
      *  next boundary. Takes/returns scalars only — see Sched. */
     uint64_t cutCheckpointCold(uint64_t last_retire);
 
-    TimedCache l1_;
-    TimedCache l2_;
-    FlatPredictor pred_;
+    /** Cold: the L2 lookup behind an L1 miss. */
+    bool accessL2Cold(uint64_t addr, uint32_t size);
+
+    Cache l1_;
+    Cache l2_;
+    BranchPredictor pred_;
 
     // Core parameters, copied out of CoreConfig.
     int width_ = 2;
@@ -751,14 +553,13 @@ class TimedCore
 };
 
 /**
- * Execute @p prog under the specialized timing engine. @p timed must
- * be prepared from the same decode; call core.finish() afterwards.
- * Semantics and ExecStats are identical to execute()/executeTimed().
+ * Execute @p prog on the timed dispatch mode, driving @p core. @p timed
+ * must be prepared from the same decode; call core.finish() afterwards.
+ * Semantics and ExecStats are identical to execute().
  */
-ExecStats executeTimedSpecialized(const DecodedProgram &prog,
-                                  const TimedProgram &timed,
-                                  TimedCore &core,
-                                  const ExecLimits &limits = {});
+ExecStats executeOnCore(const DecodedProgram &prog,
+                        const TimedProgram &timed, TimedCore &core,
+                        const ExecLimits &limits = {});
 
 } // namespace bsyn::sim
 

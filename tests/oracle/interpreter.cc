@@ -1,19 +1,19 @@
-#include "sim/interpreter.hh"
+#include "oracle/interpreter.hh"
 
 #include <cmath>
-#include <cstring>
 
-#include "sim/decoded_program.hh"
+#include "sim/memory_image.hh"
 #include "sim/printf_format.hh"
 #include "sim/value_bits.hh"
 #include "support/error.hh"
 
-namespace bsyn::sim
+namespace bsyn::oracle
 {
 
 namespace
 {
 
+using namespace sim;
 using isa::MInst;
 using isa::MKind;
 using ir::Opcode;
@@ -416,7 +416,7 @@ class Machine
     const isa::MachineProgram &prog;
     ExecObserver *observer;
     ExecLimits limits;
-    MemoryImage mem;
+    sim::MemoryImage mem;
 
     std::vector<Frame> frames;
     std::vector<uint64_t> regStack;
@@ -429,19 +429,10 @@ class Machine
 } // namespace
 
 ExecStats
-execute(const isa::MachineProgram &prog, ExecObserver *observer,
-        const ExecLimits &limits)
-{
-    if (limits.engine == ExecEngine::Reference)
-        return Machine(prog, observer, limits).run();
-    return execute(DecodedProgram(prog), observer, limits);
-}
-
-ExecStats
 executeReference(const isa::MachineProgram &prog, ExecObserver *observer,
                  const ExecLimits &limits)
 {
     return Machine(prog, observer, limits).run();
 }
 
-} // namespace bsyn::sim
+} // namespace bsyn::oracle

@@ -1,10 +1,15 @@
 /** @file Cache simulator tests, including the Table I stride/miss-rate
- *  property the synthetic memory streams rely on. */
+ *  property the synthetic memory streams rely on, and the differential
+ *  check of the shipped cache against the reference set walk. */
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
+#include "oracle/cache.hh"
 #include "profile/memory_profile.hh"
 #include "sim/cache.hh"
+#include "support/rng.hh"
 
 namespace bsyn::sim
 {
@@ -54,8 +59,6 @@ TEST(Cache, StraddlingAccessTouchesBothLines)
     EXPECT_FALSE(c.access(0x101E, 4));
     EXPECT_EQ(c.stats().accesses, 2u);
     EXPECT_EQ(c.stats().misses, 2u);
-    EXPECT_TRUE(c.probe(0x1000));
-    EXPECT_TRUE(c.probe(0x1020));
     // Both lines resident: the same straddling access now hits.
     EXPECT_TRUE(c.access(0x101E, 4));
     EXPECT_EQ(c.stats().accesses, 4u);
@@ -67,7 +70,7 @@ TEST(Cache, StraddleHitsOnlyIfEveryLineHits)
     Cache c(cfg(1024));
     c.access(0x1000); // first line resident, second cold
     EXPECT_FALSE(c.access(0x101C, 8));
-    EXPECT_TRUE(c.probe(0x1020)); // second line allocated by the miss
+    EXPECT_TRUE(c.access(0x1020)); // second line allocated by the miss
 }
 
 TEST(Cache, ContainedAccessIsOneLine)
@@ -87,8 +90,8 @@ TEST(Cache, WideAccessOnNarrowLinesTouchesEveryLine)
     EXPECT_FALSE(c.access(0x1000, 8));
     EXPECT_EQ(c.stats().accesses, 2u);
     EXPECT_EQ(c.stats().misses, 2u);
-    EXPECT_TRUE(c.probe(0x1000));
-    EXPECT_TRUE(c.probe(0x1004));
+    EXPECT_TRUE(c.access(0x1000));
+    EXPECT_TRUE(c.access(0x1004));
 }
 
 TEST(Cache, StraddleThrashesSingleSetCache)
@@ -109,25 +112,8 @@ TEST(CacheSweep, WidthAwareFeed)
     sweep.access(0x101E, 4);
     for (size_t i = 0; i < sweep.size(); ++i) {
         EXPECT_EQ(sweep.at(i).stats().accesses, 2u);
-        EXPECT_TRUE(sweep.at(i).probe(0x1020));
+        EXPECT_TRUE(sweep.at(i).access(0x1020));
     }
-}
-
-TEST(Cache, ProbeDoesNotDisturb)
-{
-    Cache c(cfg(1024));
-    EXPECT_FALSE(c.probe(0x40));
-    EXPECT_EQ(c.stats().accesses, 0u);
-    c.access(0x40);
-    EXPECT_TRUE(c.probe(0x40));
-}
-
-TEST(Cache, FlushEmptiesContents)
-{
-    Cache c(cfg(1024));
-    c.access(0x80);
-    c.flush();
-    EXPECT_FALSE(c.probe(0x80));
 }
 
 TEST(Cache, WorkingSetFitsThenThrashes)
@@ -149,7 +135,8 @@ TEST(Cache, WorkingSetFitsThenThrashes)
 
 TEST(CacheSweep, MonotoneHitRates)
 {
-    CacheSweep sweep(CacheSweep::paperSweep());
+    const std::vector<CacheConfig> sizes = CacheSweep::paperSweep();
+    CacheSweep sweep(sizes);
     // A 12 KB working set exercises the knee of the sweep.
     for (int rep = 0; rep < 6; ++rep)
         for (uint64_t a = 0; a < 12 * 1024; a += 4)
@@ -157,7 +144,7 @@ TEST(CacheSweep, MonotoneHitRates)
     for (size_t i = 1; i < sweep.size(); ++i) {
         EXPECT_GE(sweep.at(i).stats().hitRate() + 1e-9,
                   sweep.at(i - 1).stats().hitRate())
-            << "cache size " << sweep.at(i).config().sizeBytes;
+            << "cache size " << sizes[i].sizeBytes;
     }
     // 16 KB and 32 KB hold the working set; 1 KB cannot.
     EXPECT_GT(sweep.at(4).stats().hitRate(), 0.95);
@@ -213,6 +200,130 @@ TEST(MissClasses, StrideTable)
 {
     for (int c = 0; c < profile::numMissClasses; ++c)
         EXPECT_EQ(profile::strideForClass(c), uint32_t(4 * c));
+}
+
+// ------------------------------------------------------------------
+// Differential: the shipped cache (set walk behind a line memo) must
+// return the reference set walk's hit/miss result on every access.
+// ------------------------------------------------------------------
+
+static_assert(!std::is_copy_constructible_v<Cache>,
+              "the line memo points into the cache's own lines");
+
+/**
+ * A seeded address stream mixing what the memo sees in real runs and
+ * what defeats it: a few hot lines reused back to back, a sequential
+ * stream, and random addresses over a region larger than any cache
+ * under test, with 1-, 4- and 8-byte widths at any byte offset, so
+ * some accesses straddle a line boundary.
+ */
+struct Access
+{
+    uint64_t addr;
+    uint32_t size;
+};
+
+std::vector<Access>
+accessStream(uint64_t seed, size_t n = 20000)
+{
+    Rng rng(seed);
+    std::vector<Access> out;
+    uint64_t stream = 0x10000;
+    const uint32_t widths[] = {1, 4, 8};
+    for (size_t i = 0; i < n; ++i) {
+        uint64_t addr;
+        switch (rng.nextBounded(3)) {
+          case 0: // hot lines
+            addr = 0x4000 + rng.nextBounded(8) * 32 + rng.nextBounded(32);
+            break;
+          case 1: // sequential
+            addr = stream;
+            stream += 1 + rng.nextBounded(12);
+            break;
+          default: // random over 256 KB
+            addr = rng.nextBounded(256 * 1024);
+            break;
+        }
+        out.push_back({addr, widths[rng.nextBounded(3)]});
+    }
+    return out;
+}
+
+void
+expectCacheMatchesReference(const CacheConfig &c, uint64_t seed)
+{
+    Cache shipped(c);
+    oracle::Cache ref(c);
+    size_t i = 0;
+    for (const Access &a : accessStream(seed)) {
+        ASSERT_EQ(shipped.access(a.addr, a.size), ref.access(a.addr, a.size))
+            << c.describe() << " seed " << seed << " access " << i;
+        ++i;
+    }
+    EXPECT_EQ(shipped.stats().accesses, ref.stats().accesses);
+    EXPECT_EQ(shipped.stats().misses, ref.stats().misses);
+    EXPECT_GT(ref.stats().misses, 0u);
+    EXPECT_GT(ref.stats().hits(), 0u);
+}
+
+TEST(CacheDifferential, DirectMapped)
+{
+    for (uint64_t seed : {1, 2, 3})
+        expectCacheMatchesReference(cfg(1024, 32, 1), seed);
+}
+
+TEST(CacheDifferential, FourWay)
+{
+    for (uint64_t seed : {4, 5, 6})
+        expectCacheMatchesReference(cfg(8 * 1024, 32, 4), seed);
+}
+
+TEST(CacheDifferential, FullyAssociativeSingleSet)
+{
+    for (uint64_t seed : {7, 8, 9})
+        expectCacheMatchesReference(cfg(512, 32, 16), seed);
+}
+
+TEST(CacheDifferential, PaperSweep)
+{
+    const std::vector<CacheConfig> sizes = CacheSweep::paperSweep();
+    CacheSweep sweep(sizes);
+    std::vector<oracle::Cache> refs;
+    for (const CacheConfig &c : sizes)
+        refs.emplace_back(c);
+    for (const Access &a : accessStream(10, 50000)) {
+        sweep.access(a.addr, a.size);
+        for (auto &r : refs)
+            r.access(a.addr, a.size);
+    }
+    for (size_t i = 0; i < sizes.size(); ++i) {
+        EXPECT_EQ(sweep.at(i).stats().accesses, refs[i].stats().accesses)
+            << sizes[i].describe();
+        EXPECT_EQ(sweep.at(i).stats().misses, refs[i].stats().misses)
+            << sizes[i].describe();
+    }
+}
+
+TEST(CacheDifferential, MoveKeepsTheMemoValid)
+{
+    // Warm a cache so every memo slot points into its lines, move it,
+    // and keep going: the moved-to cache must still track the
+    // reference exactly.
+    CacheConfig c = cfg(1024, 32, 2);
+    std::vector<Access> stream = accessStream(11);
+    Cache warm(c);
+    oracle::Cache ref(c);
+    size_t half = stream.size() / 2;
+    for (size_t i = 0; i < half; ++i) {
+        warm.access(stream[i].addr, stream[i].size);
+        ref.access(stream[i].addr, stream[i].size);
+    }
+    Cache moved(std::move(warm));
+    for (size_t i = half; i < stream.size(); ++i)
+        ASSERT_EQ(moved.access(stream[i].addr, stream[i].size),
+                  ref.access(stream[i].addr, stream[i].size))
+            << "access " << i;
+    EXPECT_EQ(moved.stats().misses, ref.stats().misses);
 }
 
 } // namespace

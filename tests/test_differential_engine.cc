@@ -2,23 +2,21 @@
  * @file
  * Differential tests for the predecoded execution engine: every suite
  * workload and the whole test_fuzz program corpus run through both the
- * reference decode-per-step interpreter and the predecoded
- * threaded-dispatch engine, and the results — ExecStats including
- * captured output, and the profile JSON built on top of the observer
- * stream — must be identical bit for bit. This is the property that
- * lets the fast engine be the default everywhere: it is purely an
- * accelerator, never a semantic fork.
+ * reference decode-per-step interpreter (tests/oracle) and the
+ * predecoded threaded-dispatch engine, and the results — ExecStats
+ * including captured output, and the profile JSON — must be identical
+ * bit for bit. This is the property that lets the library ship only
+ * the fast engine: it is purely an accelerator, never a semantic fork.
  */
 
 #include <gtest/gtest.h>
 
-#include "isa/lowering.hh"
-#include "lang/frontend.hh"
-#include "opt/pipeline.hh"
+#include "oracle/interpreter.hh"
+#include "oracle/profiler.hh"
 #include "profile/profiler.hh"
 #include "sim/decoded_program.hh"
-#include "workloads/suite.hh"
 
+#include "differential_suite.hh"
 #include "program_fuzzer.hh"
 
 namespace bsyn
@@ -26,35 +24,7 @@ namespace bsyn
 namespace
 {
 
-/** One instance per benchmark: the engine differential does not need
- *  every input size of the same kernel. */
-const std::vector<workloads::Workload> &
-representativeSuite()
-{
-    static const std::vector<workloads::Workload> suite = [] {
-        std::vector<workloads::Workload> out;
-        std::string last;
-        for (const auto &w : workloads::mibenchSuite()) {
-            if (w.benchmark == last)
-                continue;
-            last = w.benchmark;
-            out.push_back(w);
-        }
-        return out;
-    }();
-    return suite;
-}
-
-isa::MachineProgram
-lowerAt(const workloads::Workload &w, opt::OptLevel level)
-{
-    ir::Module m = lang::compile(w.source, w.name());
-    opt::optimize(m, level);
-    return isa::lower(m, isa::targetX86());
-}
-
-class WorkloadDifferential
-    : public ::testing::TestWithParam<std::tuple<size_t, opt::OptLevel>>
+class WorkloadDifferential : public ::testing::TestWithParam<SuiteLevel>
 {};
 
 TEST_P(WorkloadDifferential, StatsAndOutputIdentical)
@@ -63,7 +33,7 @@ TEST_P(WorkloadDifferential, StatsAndOutputIdentical)
     const workloads::Workload &w = representativeSuite()[idx];
     isa::MachineProgram prog = lowerAt(w, level);
 
-    sim::ExecStats ref = sim::executeReference(prog);
+    sim::ExecStats ref = oracle::executeReference(prog);
     sim::DecodedProgram decoded(prog);
     sim::ExecStats fast = sim::execute(decoded);
 
@@ -77,43 +47,20 @@ TEST_P(WorkloadDifferential, StatsAndOutputIdentical)
     EXPECT_EQ(ref.output, fast.output) << w.name();
 }
 
-std::string
-workloadDiffName(
-    const ::testing::TestParamInfo<WorkloadDifferential::ParamType> &info)
-{
-    const auto &[idx, level] = info.param;
-    std::string name = representativeSuite()[idx].benchmark;
-    for (char &c : name)
-        if (c == '/' || c == '-')
-            c = '_';
-    return name + "_" + opt::optLevelName(level);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Suite, WorkloadDifferential,
-    ::testing::Combine(
-        ::testing::Range<size_t>(0, representativeSuite().size()),
-        ::testing::Values(opt::OptLevel::O0, opt::OptLevel::O2)),
-    workloadDiffName);
+INSTANTIATE_TEST_SUITE_P(Suite, WorkloadDifferential, suiteLevelGrid(),
+                         suiteLevelName);
 
 TEST(ProfileDifferential, ProfileJsonIdenticalOnBothEngines)
 {
-    // The profiler attaches as an ExecObserver; the predecoded engine
-    // must drive it through the exact same callback sequence, so the
-    // serialized profile — block counts, edges, branch rates, miss
-    // classes, the lot — is byte-identical.
+    // The reference profiler observes the reference interpreter's
+    // callback stream; the shipped profiler counts inside the
+    // predecoded engine. The serialized profiles — block counts, edges,
+    // branch rates, miss classes, the lot — must be byte-identical.
     for (const auto &w : representativeSuite()) {
         ir::Module m = workloads::compileWorkload(w);
-
-        profile::ProfileOptions fast_opts; // default: predecoded
-        profile::ProfileOptions ref_opts;
-        ref_opts.limits.engine = sim::ExecEngine::Reference;
-
-        std::string fast_json =
-            profile::profileModule(m, fast_opts).serialize();
-        std::string ref_json =
-            profile::profileModule(m, ref_opts).serialize();
-        EXPECT_EQ(ref_json, fast_json) << w.name();
+        EXPECT_EQ(oracle::profileModule(m).serialize(),
+                  profile::profileModule(m).serialize())
+            << w.name();
     }
 }
 
@@ -128,7 +75,7 @@ TEST_P(FuzzCorpusDifferential, StatsIdenticalAtO0AndO2)
         ir::Module m = lang::compile(src, "fuzz");
         opt::optimize(m, level);
         isa::MachineProgram prog = isa::lower(m, isa::targetX86());
-        sim::ExecStats ref = sim::executeReference(prog);
+        sim::ExecStats ref = oracle::executeReference(prog);
         sim::ExecStats fast = sim::execute(sim::DecodedProgram(prog));
         EXPECT_TRUE(ref == fast)
             << "seed " << GetParam() << " at "

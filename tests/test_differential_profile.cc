@@ -2,11 +2,12 @@
  * @file
  * Differential tests for the fused instrumented profiling mode: every
  * suite workload and the shared fuzz corpus are profiled by both the
- * golden ExecObserver-based profiler and the fused dense-counter mode,
- * at -O0 and -O2, and the results — serialized profile JSON, SFGL edge
- * sets, and the ExecStats of the underlying run — must be identical
- * byte for byte. The profile JSON is the paper's distribution
- * artifact; this suite is what lets the fast mode produce it.
+ * reference observer profiler (tests/oracle) and the shipped
+ * dense-counter mode, at -O0 and -O2, and the results — serialized
+ * profile JSON, SFGL edge sets, and the ExecStats of the underlying
+ * run — must be identical byte for byte. The profile JSON is the
+ * paper's distribution artifact; this suite is what lets the fast mode
+ * produce it.
  */
 
 #include <gtest/gtest.h>
@@ -18,44 +19,20 @@
 #include "isa/lowering.hh"
 #include "lang/frontend.hh"
 #include "opt/pipeline.hh"
+#include "oracle/interpreter.hh"
+#include "oracle/profiler.hh"
 #include "pipeline/session.hh"
 #include "profile/profiler.hh"
 #include "sim/decoded_program.hh"
 #include "workloads/suite.hh"
 
+#include "differential_suite.hh"
 #include "program_fuzzer.hh"
 
 namespace bsyn
 {
 namespace
 {
-
-/** One instance per benchmark — the profile differential does not need
- *  every input size of the same kernel. */
-const std::vector<workloads::Workload> &
-representativeSuite()
-{
-    static const std::vector<workloads::Workload> suite = [] {
-        std::vector<workloads::Workload> out;
-        std::string last;
-        for (const auto &w : workloads::mibenchSuite()) {
-            if (w.benchmark == last)
-                continue;
-            last = w.benchmark;
-            out.push_back(w);
-        }
-        return out;
-    }();
-    return suite;
-}
-
-profile::ProfileOptions
-observerOptions()
-{
-    profile::ProfileOptions opts;
-    opts.engine = profile::ProfileEngine::Observer;
-    return opts;
-}
 
 /** Flatten a profile's SFGL edges into comparable (from, to, count)
  *  triples. */
@@ -70,10 +47,11 @@ edgeSet(const profile::StatisticalProfile &prof)
 }
 
 void
-expectProfilesIdentical(const ir::Module &m, const std::string &label)
+expectProfilesIdentical(const ir::Module &m, const std::string &label,
+                        const profile::ProfileOptions &opts = {})
 {
-    auto fused = profile::profileModule(m); // default: fused
-    auto ref = profile::profileModule(m, observerOptions());
+    auto fused = profile::profileModule(m, opts);
+    auto ref = oracle::profileModule(m, opts);
     EXPECT_EQ(ref.serialize(), fused.serialize()) << label;
     EXPECT_EQ(edgeSet(ref), edgeSet(fused)) << label;
     EXPECT_EQ(ref.dynamicInstructions, fused.dynamicInstructions)
@@ -81,7 +59,7 @@ expectProfilesIdentical(const ir::Module &m, const std::string &label)
 }
 
 class WorkloadProfileDifferential
-    : public ::testing::TestWithParam<std::tuple<size_t, opt::OptLevel>>
+    : public ::testing::TestWithParam<SuiteLevel>
 {};
 
 TEST_P(WorkloadProfileDifferential, ProfileJsonAndEdgesIdentical)
@@ -103,7 +81,7 @@ TEST_P(WorkloadProfileDifferential, InstrumentedExecStatsIdentical)
     // the instrumented handlers too.
     isa::MachineProgram prog = isa::lower(m, isa::targetX86());
 
-    sim::ExecStats ref = sim::executeReference(prog);
+    sim::ExecStats ref = oracle::executeReference(prog);
     sim::DecodedProgram decoded(prog);
     sim::InstrumentedCounters c;
     sim::ExecStats inst =
@@ -124,24 +102,8 @@ TEST_P(WorkloadProfileDifferential, InstrumentedExecStatsIdentical)
     EXPECT_EQ(taken, inst.takenBranches) << w.name();
 }
 
-std::string
-profileDiffName(const ::testing::TestParamInfo<
-                WorkloadProfileDifferential::ParamType> &info)
-{
-    const auto &[idx, level] = info.param;
-    std::string name = representativeSuite()[idx].benchmark;
-    for (char &c : name)
-        if (c == '/' || c == '-')
-            c = '_';
-    return name + "_" + opt::optLevelName(level);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Suite, WorkloadProfileDifferential,
-    ::testing::Combine(
-        ::testing::Range<size_t>(0, representativeSuite().size()),
-        ::testing::Values(opt::OptLevel::O0, opt::OptLevel::O2)),
-    profileDiffName);
+INSTANTIATE_TEST_SUITE_P(Suite, WorkloadProfileDifferential,
+                         suiteLevelGrid(), suiteLevelName);
 
 // The same seed range as test_fuzz / test_differential_engine — one
 // corpus, three differential properties.
@@ -156,7 +118,7 @@ TEST_P(FuzzProfileDifferential, ProfileJsonIdenticalAtO0AndO2)
         ir::Module m = lang::compile(src, "fuzz");
         opt::optimize(m, level);
         auto fused = profile::profileModule(m);
-        auto ref = profile::profileModule(m, observerOptions());
+        auto ref = oracle::profileModule(m);
         EXPECT_EQ(ref.serialize(), fused.serialize())
             << "seed " << GetParam() << " at "
             << opt::optLevelName(level) << "\n"
@@ -186,7 +148,7 @@ TEST(SliceDeterminism, FusedAndObserverAgreeOnMultiPhaseProfiles)
     ir::Module m = workloads::compileWorkload(multiPhaseInstance());
     auto fused = profile::profileModule(m);
     ASSERT_TRUE(fused.multiPhase());
-    auto ref = profile::profileModule(m, observerOptions());
+    auto ref = oracle::profileModule(m);
     EXPECT_EQ(ref.serialize(), fused.serialize());
 }
 
@@ -255,12 +217,11 @@ TEST(ProfileSmoke, FusedMatchesReferenceOnShaSmall)
     ir::Module m = lang::compile(w.source, w.name());
     expectProfilesIdentical(m, w.name());
 
-    // Belt and braces: the golden observer on the *reference*
-    // decode-per-step interpreter agrees too.
-    profile::ProfileOptions golden = observerOptions();
-    golden.limits.engine = sim::ExecEngine::Reference;
-    EXPECT_EQ(profile::profileModule(m, golden).serialize(),
-              profile::profileModule(m).serialize());
+    // With slicing off the fused mode runs the same hooks with the
+    // slice recorder disarmed; it must still match.
+    profile::ProfileOptions unsliced;
+    unsliced.sliceBaseLength = 0;
+    expectProfilesIdentical(m, w.name() + " unsliced", unsliced);
 }
 
 } // namespace

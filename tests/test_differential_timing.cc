@@ -1,61 +1,32 @@
 /**
  * @file
- * Differential tests for the specialized timing engine: every suite
- * workload and the whole fuzz corpus run through the reference timing
- * model (CoreModel, as virtual observer and through the prepared timed
- * dispatch mode) and the specialized engine (TimedProgram + TimedCore,
- * with the cache and predictor state machines inlined), and the cycle
- * counts, cache/predictor statistics, ExecStats and per-PC event
- * counters must be identical. Superblock fusion is checked both ways:
- * a fused decode must time and count exactly like an unfused one.
- * This is the property that lets the specialized engine be the default
- * timing path: purely an accelerator, never a semantic fork.
+ * Differential tests for the timing engine: every suite workload and
+ * the whole fuzz corpus run through the reference core model
+ * (tests/oracle, an ExecObserver over the reference interpreter and
+ * over the fused decode) and the timing engine (TimedProgram +
+ * TimedCore, with the cache and predictor state machines inlined), and
+ * the cycle counts, cache/predictor statistics, ExecStats and per-PC
+ * event counters must be identical. Superblock fusion is checked both
+ * ways: a fused decode must time and count exactly like an unfused
+ * one. This is the property that lets the library ship only the timing
+ * engine: purely an accelerator, never a semantic fork.
  */
 
 #include <gtest/gtest.h>
 
-#include "isa/lowering.hh"
-#include "lang/frontend.hh"
-#include "opt/pipeline.hh"
-#include "sim/core_model.hh"
+#include "oracle/core_model.hh"
+#include "oracle/interpreter.hh"
 #include "sim/decoded_program.hh"
 #include "sim/machine.hh"
 #include "sim/timed_core.hh"
-#include "workloads/suite.hh"
 
+#include "differential_suite.hh"
 #include "program_fuzzer.hh"
 
 namespace bsyn
 {
 namespace
 {
-
-/** One instance per benchmark: the timing differential does not need
- *  every input size of the same kernel. */
-const std::vector<workloads::Workload> &
-representativeSuite()
-{
-    static const std::vector<workloads::Workload> suite = [] {
-        std::vector<workloads::Workload> out;
-        std::string last;
-        for (const auto &w : workloads::mibenchSuite()) {
-            if (w.benchmark == last)
-                continue;
-            last = w.benchmark;
-            out.push_back(w);
-        }
-        return out;
-    }();
-    return suite;
-}
-
-isa::MachineProgram
-lowerAt(const workloads::Workload &w, opt::OptLevel level)
-{
-    ir::Module m = lang::compile(w.source, w.name());
-    opt::optimize(m, level);
-    return isa::lower(m, isa::targetX86());
-}
 
 void
 expectTimingEq(const sim::TimingStats &ref, const sim::TimingStats &spec,
@@ -72,11 +43,11 @@ expectTimingEq(const sim::TimingStats &ref, const sim::TimingStats &spec,
 }
 
 /**
- * Run the reference and the specialized engine over @p prog under
- * @p cfg and assert every observable identical: TimingStats, the
- * ExecStats of both runs, and the per-PC l1-miss / l2-miss /
+ * Run the reference core model and the timing engine over @p prog
+ * under @p cfg and assert every observable identical: TimingStats, the
+ * ExecStats of every run, and the per-PC l1-miss / l2-miss /
  * mispredict counters. Both the fused and the fusion-free decode go
- * through the specialized engine.
+ * through the timing engine.
  */
 void
 expectEnginesAgree(const isa::MachineProgram &prog,
@@ -87,53 +58,46 @@ expectEnginesAgree(const isa::MachineProgram &prog,
     plain_opts.superblockFusion = false;
     sim::DecodedProgram plain(prog, plain_opts);
 
-    // Reference: prepared CoreModel on the timed dispatch mode.
+    // Reference: the core model observing the reference interpreter.
     sim::PerPcTimingEvents ref_events;
-    sim::CoreModel model(cfg);
+    oracle::CoreModel model(cfg);
     model.recordEvents(&ref_events, prog.size());
-    model.prepare(prog);
-    sim::ExecStats ref_exec = sim::executeTimed(plain, model);
+    sim::ExecStats ref_exec = oracle::executeReference(prog, &model);
     sim::TimingStats ref = model.finish();
 
-    // Reference as a plain virtual ExecObserver over the fused decode:
-    // fusion must replay the exact callback stream.
-    sim::CoreModel obs_model(cfg);
+    // The core model observing the fused decode: fusion must replay
+    // the exact callback stream.
+    oracle::CoreModel obs_model(cfg);
     sim::ExecStats obs_exec = sim::execute(fused, &obs_model);
     sim::TimingStats obs = obs_model.finish();
 
-    // Specialized engine over both decodes.
+    // Timing engine over both decodes.
     sim::TimedProgram timed(fused, cfg);
     sim::PerPcTimingEvents spec_events;
     sim::TimedCore core(cfg);
     core.recordEvents(&spec_events, prog.size());
-    sim::ExecStats spec_exec =
-        sim::executeTimedSpecialized(fused, timed, core);
+    sim::ExecStats spec_exec = sim::executeOnCore(fused, timed, core);
     sim::TimingStats spec = core.finish();
 
     sim::TimedProgram timed_plain(plain, cfg);
     sim::TimedCore plain_core(cfg);
     sim::ExecStats plain_exec =
-        sim::executeTimedSpecialized(plain, timed_plain, plain_core);
+        sim::executeOnCore(plain, timed_plain, plain_core);
     sim::TimingStats plain_spec = plain_core.finish();
 
-    expectTimingEq(ref, obs, what + " [observer]");
-    expectTimingEq(ref, spec, what + " [specialized]");
-    expectTimingEq(ref, plain_spec, what + " [specialized, unfused]");
+    expectTimingEq(ref, obs, what + " [fused observer]");
+    expectTimingEq(ref, spec, what + " [engine]");
+    expectTimingEq(ref, plain_spec, what + " [engine, unfused]");
     EXPECT_TRUE(ref_exec == obs_exec) << what;
     EXPECT_TRUE(ref_exec == spec_exec) << what;
     EXPECT_TRUE(ref_exec == plain_exec) << what;
     EXPECT_TRUE(ref_events == spec_events) << what;
 
-    // And the public entry points agree with the hand-driven runs.
-    sim::TimingStats api_ref = sim::simulateTiming(
-        fused, cfg, sim::ExecLimits(), sim::TimingEngine::Reference);
-    sim::TimingStats api_spec = sim::simulateTiming(fused, cfg);
-    expectTimingEq(ref, api_ref, what + " [api reference]");
-    expectTimingEq(ref, api_spec, what + " [api specialized]");
+    // And the public entry point agrees with the hand-driven runs.
+    expectTimingEq(ref, sim::simulateTiming(fused, cfg), what + " [api]");
 }
 
-class TimingDifferential
-    : public ::testing::TestWithParam<std::tuple<size_t, opt::OptLevel>>
+class TimingDifferential : public ::testing::TestWithParam<SuiteLevel>
 {};
 
 TEST_P(TimingDifferential, CyclesStatsAndEventsIdentical)
@@ -144,30 +108,14 @@ TEST_P(TimingDifferential, CyclesStatsAndEventsIdentical)
     expectEnginesAgree(prog, sim::ptlsimConfig(8).core, w.name());
 }
 
-std::string
-timingDiffName(
-    const ::testing::TestParamInfo<TimingDifferential::ParamType> &info)
-{
-    const auto &[idx, level] = info.param;
-    std::string name = representativeSuite()[idx].benchmark;
-    for (char &c : name)
-        if (c == '/' || c == '-')
-            c = '_';
-    return name + "_" + opt::optLevelName(level);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Suite, TimingDifferential,
-    ::testing::Combine(
-        ::testing::Range<size_t>(0, representativeSuite().size()),
-        ::testing::Values(opt::OptLevel::O0, opt::OptLevel::O2)),
-    timingDiffName);
+INSTANTIATE_TEST_SUITE_P(Suite, TimingDifferential, suiteLevelGrid(),
+                         suiteLevelName);
 
 TEST(TimingDifferential2, EveryPredictorCoreShapeAndCacheGeometry)
 {
     // Cover all predictor state machines, the in-order issue path and
-    // an L2-free hierarchy — every branch of the specialized engine
-    // the ptlsim configuration alone would leave cold.
+    // an L2-free hierarchy — every branch of the timing engine the
+    // ptlsim configuration alone would leave cold.
     const auto &w = workloads::findWorkload("sha/small");
     isa::MachineProgram prog = lowerAt(w, opt::OptLevel::O2);
     for (const char *pred :
@@ -296,7 +244,7 @@ TEST(TimedCoreCheckpoints, CyclesAtBoundariesAreMonotonic)
     sim::TimedProgram timed(decoded, cfg);
 
     sim::TimedCore probe(cfg);
-    sim::executeTimedSpecialized(decoded, timed, probe);
+    sim::executeOnCore(decoded, timed, probe);
     sim::TimingStats total = probe.finish();
     ASSERT_GT(total.instructions, 4u);
 
@@ -305,7 +253,7 @@ TEST(TimedCoreCheckpoints, CyclesAtBoundariesAreMonotonic)
         (3 * total.instructions) / 4, total.instructions};
     sim::TimedCore core(cfg);
     core.setCheckpoints(bounds);
-    sim::executeTimedSpecialized(decoded, timed, core);
+    sim::executeOnCore(decoded, timed, core);
     sim::TimingStats again = core.finish();
     expectTimingEq(total, again, "checkpointing must not perturb");
 

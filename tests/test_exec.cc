@@ -11,6 +11,7 @@
 
 #include "isa/lowering.hh"
 #include "lang/frontend.hh"
+#include "oracle/interpreter.hh"
 #include "pipeline/pipeline.hh"
 #include "sim/decoded_program.hh"
 #include "support/error.hh"
@@ -346,11 +347,13 @@ TEST(ExecMisc, InstructionLimitCountIsExact)
     auto prog = isa::lower(m, isa::targetX86());
     sim::ExecLimits limits;
     limits.maxInstructions = 10000;
-    for (auto engine :
-         {sim::ExecEngine::Predecoded, sim::ExecEngine::Reference}) {
-        limits.engine = engine;
+    using Run = sim::ExecStats (*)(const isa::MachineProgram &,
+                                   sim::ExecObserver *,
+                                   const sim::ExecLimits &);
+    for (Run run :
+         std::initializer_list<Run>{sim::execute, oracle::executeReference}) {
         try {
-            sim::execute(prog, nullptr, limits);
+            run(prog, nullptr, limits);
             FAIL() << "instruction limit did not trigger";
         } catch (const FatalError &e) {
             EXPECT_NE(std::string(e.what()).find(
@@ -370,7 +373,7 @@ TEST(ExecMisc, EnginesAgreeOnEveryExecCase)
     for (const ExecCase &c : execCases) {
         ir::Module m = lang::compile(c.source, c.name);
         auto prog = isa::lower(m, isa::targetX86());
-        auto ref = sim::executeReference(prog);
+        auto ref = oracle::executeReference(prog);
         auto fast = sim::execute(sim::DecodedProgram(prog));
         EXPECT_TRUE(ref == fast) << c.name;
         EXPECT_EQ(ref.output, c.expected) << c.name;

@@ -15,6 +15,8 @@
 
 #include "gen/registry.hh"
 #include "isa/lowering.hh"
+#include "oracle/interpreter.hh"
+#include "oracle/profiler.hh"
 #include "pipeline/pipeline.hh"
 #include "pipeline/run_sink.hh"
 #include "pipeline/session.hh"
@@ -229,7 +231,7 @@ TEST_P(FamilyCorrectness, EveryPresetRunsCorrectly)
 TEST_P(FamilyCorrectness, DifferentialEngineAndProfileIdentity)
 {
     // Reference decode-per-step interpreter vs the predecoded engine,
-    // and the Observer profiler vs the fused instrumented mode, must
+    // and the reference profiler vs the fused instrumented mode, must
     // agree bit for bit on generated programs too — at -O0 and -O2.
     const gen::Family &f =
         gen::Registry::global().require(GetParam());
@@ -237,14 +239,12 @@ TEST_P(FamilyCorrectness, DifferentialEngineAndProfileIdentity)
     for (auto level : {opt::OptLevel::O0, opt::OptLevel::O2}) {
         ir::Module m = pipeline::compileSource(w.source, w.name(), level);
         auto prog = isa::lower(m, isa::targetX86());
-        auto ref = sim::executeReference(prog);
+        auto ref = oracle::executeReference(prog);
         auto fast = sim::execute(prog);
         EXPECT_TRUE(ref == fast)
             << w.name() << " at " << opt::optLevelName(level);
 
-        profile::ProfileOptions observer;
-        observer.engine = profile::ProfileEngine::Observer;
-        auto obsProf = profile::profileModule(m, observer);
+        auto obsProf = oracle::profileModule(m);
         auto fusedProf = profile::profileModule(m);
         EXPECT_EQ(obsProf.serialize(), fusedProf.serialize())
             << w.name() << " at " << opt::optLevelName(level);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "lang/frontend.hh"
+#include "oracle/profiler.hh"
 #include "profile/profiler.hh"
 
 namespace bsyn
@@ -19,19 +20,14 @@ profileSource(const char *src)
     return profile::profileModule(m);
 }
 
-/** Profile on both collection engines and assert identity; @return the
- *  (shared) profile. */
+/** Profile with the shipped and the reference profiler and assert
+ *  identity; @return the (shared) profile. */
 profile::StatisticalProfile
 profileBothEngines(const ir::Module &m,
-                   const profile::ProfileOptions &base = {})
+                   const profile::ProfileOptions &opts = {})
 {
-    profile::ProfileOptions fused = base;
-    fused.engine = profile::ProfileEngine::Fused;
-    profile::ProfileOptions obs = base;
-    obs.engine = profile::ProfileEngine::Observer;
-    auto pf = profile::profileModule(m, fused);
-    auto po = profile::profileModule(m, obs);
-    EXPECT_EQ(po.serialize(), pf.serialize());
+    auto pf = profile::profileModule(m, opts);
+    EXPECT_EQ(oracle::profileModule(m, opts).serialize(), pf.serialize());
     return pf;
 }
 
@@ -318,10 +314,8 @@ TEST(Profiler, AnnotatesEveryCondBrInABlock)
     // must reflect the taken shortcut (4 retired instructions total).
     EXPECT_EQ(prof.dynamicInstructions, 4u);
 
-    // Fused and observer collection agree on the hand-built program.
-    profile::ProfileOptions obs;
-    obs.engine = profile::ProfileEngine::Observer;
-    EXPECT_EQ(profile::profileWorkload(mod, prog, obs).serialize(),
+    // The reference profiler agrees on the hand-built program.
+    EXPECT_EQ(oracle::profileWorkload(mod, prog).serialize(),
               prof.serialize());
 }
 
@@ -345,9 +339,7 @@ TEST(Profiler, DeadFirstCondBrDoesNotHideLaterBranchStats)
     // Entered mid-run: never a block start, so exec stays 0.
     EXPECT_EQ(blk.execCount, 0u);
 
-    profile::ProfileOptions obs;
-    obs.engine = profile::ProfileEngine::Observer;
-    EXPECT_EQ(profile::profileWorkload(mod, prog, obs).serialize(),
+    EXPECT_EQ(oracle::profileWorkload(mod, prog).serialize(),
               prof.serialize());
 }
 

@@ -12,8 +12,8 @@
 #include <thread>
 #include <unistd.h>
 
+#include "obs/histogram.hh"
 #include "replay/engine.hh"
-#include "replay/histogram.hh"
 #include "replay/mix.hh"
 #include "replay/schedule.hh"
 #include "support/error.hh"
@@ -76,8 +76,9 @@ TEST(ReplaySchedule, ConstantArrivalsAreEvenlySpaced)
         // inside the horizon).
         double want = std::min(double(i + 1) / 100.0, 1.0 - 1e-9);
         EXPECT_NEAR(double(offsets[i]) / 1e9, want, 1e-6) << i;
-        if (i)
+        if (i) {
             EXPECT_GT(offsets[i], offsets[i - 1]);
+        }
     }
 }
 
@@ -190,12 +191,12 @@ TEST(ReplayHistogram, BucketErrorStaysBounded)
 {
     // Tiny values are exact.
     for (uint64_t v = 0; v < 16; ++v)
-        EXPECT_EQ(replay::LatencyHistogram::bucketOf(v), size_t(v));
+        EXPECT_EQ(obs::LatencyHistogram::bucketOf(v), size_t(v));
 
     // Any single recorded value is recovered within the 6.25% bound.
     for (uint64_t v : {100ull, 999ull, 123456ull, 999999999ull,
                        (1ull << 40) + 12345ull}) {
-        replay::LatencyHistogram h;
+        obs::LatencyHistogram h;
         h.record(v);
         EXPECT_EQ(h.count(), 1u);
         EXPECT_EQ(h.max(), v);
@@ -207,7 +208,7 @@ TEST(ReplayHistogram, BucketErrorStaysBounded)
 
 TEST(ReplayHistogram, ConcurrentRecordsAllLand)
 {
-    replay::LatencyHistogram h;
+    obs::LatencyHistogram h;
     constexpr int kThreads = 8;
     constexpr uint64_t kEach = 20000;
     std::vector<std::thread> ts;
