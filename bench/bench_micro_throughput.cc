@@ -17,6 +17,7 @@
 #include "sim/decoded_program.hh"
 #include "sim/timed_core.hh"
 #include "similarity/report.hh"
+#include "straight_line.hh"
 
 using namespace bsyn;
 
@@ -313,6 +314,29 @@ BM_MiniCCompileO2(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MiniCCompileO2);
+
+void
+BM_OptimizeStraightLine(benchmark::State &state)
+{
+    // -O2 on one basic block of clone-shaped statements; the front end
+    // runs once, outside the timing. Clones carry blocks of tens of
+    // thousands of instructions, so CI gates on the time ratio of the
+    // 8192-statement block to the 2048-statement one: a linear pipeline
+    // reads about 4x.
+    ir::Module front = lang::compile(
+        straightLineSource(static_cast<size_t>(state.range(0)), 1),
+        "straight_line");
+    for (auto _ : state) {
+        state.PauseTiming();
+        ir::Module m = front;
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(opt::optimize(m, opt::OptLevel::O2));
+    }
+}
+BENCHMARK(BM_OptimizeStraightLine)
+    ->Arg(2048)
+    ->Arg(8192)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_ProfileWorkload(benchmark::State &state)

@@ -1,9 +1,9 @@
 #include "opt/copy_prop.hh"
 
-#include <map>
+#include <cstdint>
+#include <vector>
 
 #include "ir/cfg.hh"
-#include "support/error.hh"
 
 namespace bsyn::opt
 {
@@ -15,32 +15,86 @@ namespace
 {
 
 /**
+ * The copies valid at one point of a block, indexed by register (the
+ * verifier keeps every register below numRegs). Each register counts
+ * its definitions and a recorded copy keeps its source's count, so a
+ * redefinition invalidates the register's own copy and every copy of it
+ * in O(1): a copy whose source has moved on reads as absent. Clones
+ * carry blocks of tens of thousands of instructions, which is why no
+ * operation here may scan the live copies.
+ */
+class CopyTable
+{
+  public:
+    explicit CopyTable(size_t num_regs)
+        : copyOf_(num_regs), version_(num_regs, 0)
+    {
+    }
+
+    /** @return the register @p reg is a copy of, or -1. */
+    int
+    sourceOf(int reg) const
+    {
+        const Entry &e = copyOf_[static_cast<size_t>(reg)];
+        if (e.src < 0 || version_[static_cast<size_t>(e.src)] != e.srcVersion)
+            return -1;
+        return e.src;
+    }
+
+    /** @p reg is (re)defined: it copies nothing, nothing copies it. */
+    void
+    define(int reg)
+    {
+        copyOf_[static_cast<size_t>(reg)].src = -1;
+        ++version_[static_cast<size_t>(reg)];
+        touched_.push_back(reg);
+    }
+
+    /** Record "mov dst, src"; call after define(dst). */
+    void
+    record(int dst, int src)
+    {
+        copyOf_[static_cast<size_t>(dst)] = {
+            src, version_[static_cast<size_t>(src)]};
+    }
+
+    /** Forget the block's copies, resetting only the entries it set. */
+    void
+    clear()
+    {
+        for (int reg : touched_)
+            copyOf_[static_cast<size_t>(reg)].src = -1;
+        touched_.clear();
+    }
+
+  private:
+    struct Entry
+    {
+        int src = -1;
+        uint32_t srcVersion = 0; ///< src's definition count when recorded
+    };
+
+    std::vector<Entry> copyOf_;
+    std::vector<uint32_t> version_; ///< definitions seen, per register
+    std::vector<int> touched_;      ///< registers defined in this block
+};
+
+/**
  * Forward copy propagation within one block: after "mov d, s", uses of d
  * read s instead, until either d or s is redefined.
  */
 bool
-propagateBlock(ir::BasicBlock &bb)
+propagateBlock(ir::BasicBlock &bb, CopyTable &copies)
 {
     bool changed = false;
-    std::map<int, int> copy_of; // dst -> source while valid
-
-    auto invalidate = [&](int reg) {
-        copy_of.erase(reg);
-        for (auto it = copy_of.begin(); it != copy_of.end();) {
-            if (it->second == reg)
-                it = copy_of.erase(it);
-            else
-                ++it;
-        }
-    };
     auto root = [&](int reg) {
         // Follow the chain (a -> b -> c) with a cycle guard.
         int steps = 0;
         while (steps++ < 16) {
-            auto it = copy_of.find(reg);
-            if (it == copy_of.end())
+            int src = copies.sourceOf(reg);
+            if (src < 0)
                 return reg;
-            reg = it->second;
+            reg = src;
         }
         return reg;
     };
@@ -52,9 +106,9 @@ propagateBlock(ir::BasicBlock &bb)
             changed = true;
 
         if (in.dst >= 0) {
-            invalidate(in.dst);
+            copies.define(in.dst);
             if (in.op == Opcode::Mov && in.src0 != in.dst)
-                copy_of[in.dst] = in.src0;
+                copies.record(in.dst, in.src0);
         }
     }
 
@@ -73,6 +127,7 @@ propagateBlock(ir::BasicBlock &bb)
             changed = true;
         }
     }
+    copies.clear();
     return changed;
 }
 
@@ -83,12 +138,37 @@ propagateBlock(ir::BasicBlock &bb)
  * where t is dead afterwards, write the op's result directly into d and
  * drop the move. This turns "x = x + 1" from two instructions into one,
  * matching what a register allocator's coalescer produces.
+ *
+ * @p exposed is per-register scratch in which no entry equals @p stamp
+ * on entry.
  */
 bool
-coalesceBlock(ir::BasicBlock &bb, const ir::Liveness &live)
+coalesceBlock(ir::BasicBlock &bb, const ir::Liveness &live,
+              std::vector<uint32_t> &exposed, uint32_t stamp)
 {
+    const size_t n = bb.insts.size();
+    if (n < 2)
+        return false;
+
+    // usedLater[i]: instruction i's result is read at i+2 or later in
+    // the block before being redefined. One backward pass of
+    // upward-exposed uses (exposed[r] == stamp) answers it for every i.
+    // The forward loop below rewrites only positions i and i+1, so the
+    // answers, taken over the original instructions, stay exact.
+    std::vector<char> usedLater(n, 0);
+    for (size_t p = n; p >= 2; --p) {
+        int t = bb.insts[p - 2].dst;
+        if (t >= 0)
+            usedLater[p - 2] = exposed[static_cast<size_t>(t)] == stamp;
+        const Instruction &in = bb.insts[p - 1];
+        if (in.dst >= 0)
+            exposed[static_cast<size_t>(in.dst)] = 0;
+        in.forEachSrc(
+            [&](int r) { exposed[static_cast<size_t>(r)] = stamp; });
+    }
+
     bool changed = false;
-    for (size_t i = 0; i + 1 < bb.insts.size(); ++i) {
+    for (size_t i = 0; i + 1 < n; ++i) {
         Instruction &a = bb.insts[i];
         Instruction &b = bb.insts[i + 1];
         if (b.op != Opcode::Mov || a.dst < 0 || b.src0 != a.dst ||
@@ -100,16 +180,7 @@ coalesceBlock(ir::BasicBlock &bb, const ir::Liveness &live)
         int d = b.dst;
         // t must die at the mov: not used later in the block, not used
         // by the terminator, not live out.
-        bool t_used_later = false;
-        for (size_t j = i + 2; j < bb.insts.size() && !t_used_later; ++j) {
-            bb.insts[j].forEachSrc([&](int r) {
-                if (r == t)
-                    t_used_later = true;
-            });
-            if (bb.insts[j].dst == t)
-                break; // redefined; earlier uses checked already
-        }
-        if (t_used_later)
+        if (usedLater[i])
             continue;
         if ((bb.term.kind == ir::Terminator::Kind::Br &&
              bb.term.cond == t) ||
@@ -134,7 +205,7 @@ coalesceBlock(ir::BasicBlock &bb, const ir::Liveness &live)
     }
     if (changed) {
         std::vector<Instruction> kept;
-        kept.reserve(bb.insts.size());
+        kept.reserve(n);
         for (auto &in : bb.insts)
             if (in.op != Opcode::Nop)
                 kept.push_back(std::move(in));
@@ -149,13 +220,16 @@ bool
 propagateCopies(ir::Function &fn)
 {
     bool changed = false;
+    CopyTable copies(fn.numRegs);
     for (auto &bb : fn.blocks)
-        changed |= propagateBlock(bb);
+        changed |= propagateBlock(bb, copies);
 
     ir::Cfg cfg(fn);
     ir::Liveness live(fn, cfg);
+    std::vector<uint32_t> exposed(fn.numRegs, 0);
+    uint32_t stamp = 0;
     for (auto &bb : fn.blocks)
-        changed |= coalesceBlock(bb, live);
+        changed |= coalesceBlock(bb, live, exposed, ++stamp);
     return changed;
 }
 

@@ -130,14 +130,28 @@ processSuite(const SuiteOptions &opts)
     return processSuite(workloads::mibenchSuite(), opts);
 }
 
+namespace
+{
+
+/** The front end and -O passes of a timed run, as a "compile" span of
+ *  its own so a trace separates them from the timed execution. */
+ir::Module
+compileForTiming(const std::string &source, const std::string &name,
+                 opt::OptLevel level, const sim::MachineSpec &machine)
+{
+    obs::Span span("compile", "workload", name);
+    return compileSource(source, name, level, machine.core.inOrder);
+}
+
+} // namespace
+
 sim::TimingStats
 timeOnMachine(const std::string &source, const std::string &name,
               opt::OptLevel level, const sim::MachineSpec &machine)
 {
     obs::Span span("timing", "workload", name);
     span.arg("machine", machine.name);
-    bool in_order = machine.core.inOrder;
-    ir::Module mod = compileSource(source, name, level, in_order);
+    ir::Module mod = compileForTiming(source, name, level, machine);
     isa::MachineProgram prog = isa::lower(mod, machine.isa);
     return sim::simulateTiming(prog, machine.core);
 }
@@ -150,8 +164,7 @@ timeOnMachinePhased(const std::string &source, const std::string &name,
 {
     obs::Span span("timing", "workload", name);
     span.arg("machine", machine.name);
-    bool in_order = machine.core.inOrder;
-    ir::Module mod = compileSource(source, name, level, in_order);
+    ir::Module mod = compileForTiming(source, name, level, machine);
     isa::MachineProgram prog = isa::lower(mod, machine.isa);
     sim::DecodedProgram decoded(prog);
 

@@ -1,5 +1,7 @@
 #include "pipeline/session.hh"
 
+#include <optional>
+
 #include "isa/lowering.hh"
 #include "lang/frontend.hh"
 #include "obs/trace.hh"
@@ -93,6 +95,33 @@ benchmarkFromJson(const Json &j)
     return b;
 }
 
+/**
+ * Probe @p cache for @p key and decode a hit with @p decode. An entry
+ * that fails to parse or decode counts as a miss: it is logged, counted
+ * in @p corrupt, and the caller's recomputation overwrites it.
+ */
+template <typename Decode>
+auto
+loadEntry(const ArtifactCache &cache, const char *stage,
+          const std::string &key, obs::Counter &corrupt, Decode decode)
+    -> std::optional<decltype(decode(key))>
+{
+    std::string text;
+    {
+        obs::Span probe("cache-probe", "stage", stage);
+        if (!cache.load(key, text))
+            return std::nullopt;
+    }
+    try {
+        return decode(text);
+    } catch (const std::exception &e) {
+        warn("corrupt %s cache entry %s (%s); recomputing it", stage,
+             key.c_str(), e.what());
+        corrupt.add();
+        return std::nullopt;
+    }
+}
+
 } // namespace
 
 SessionOptions::SessionOptions() : synthesis(defaultSynthesisOptions()) {}
@@ -155,6 +184,7 @@ Session::Session(SessionOptions opts)
       profileMisses_(metrics_.counter("pipeline.cache.profile.misses")),
       synthHits_(metrics_.counter("pipeline.cache.synth.hits")),
       synthMisses_(metrics_.counter("pipeline.cache.synth.misses")),
+      cacheCorrupt_(metrics_.counter("pipeline.cache.corrupt")),
       decodeHits_(metrics_.counter("pipeline.memo.decode.hits")),
       decodeMisses_(metrics_.counter("pipeline.memo.decode.misses"))
 {
@@ -205,21 +235,25 @@ Session::profile(const std::string &source, const std::string &name,
     // the slicing knobs join the key so sessions with different phase
     // detection settings keep distinct entries.
     obs::Span span("profile", "workload", name);
-    std::string key = ArtifactCache::key(
-        "profile.v3",
-        {name, source, profilingFingerprint(options_.profiling)});
-    std::string text;
-    bool hit;
-    {
-        obs::Span probe("cache-probe", "stage", "profile");
-        hit = cache_.load(key, text);
-    }
-    if (hit) {
-        profileHits_.add();
-        span.arg("cache", "hit");
-        if (cached)
-            *cached = true;
-        return bsyn::profile::StatisticalProfile::deserialize(text);
+    // Keys and payloads are built only for a cache that keeps them: a
+    // clone's profile can serialize to megabytes.
+    std::string key;
+    if (cache_.enabled()) {
+        key = ArtifactCache::key(
+            "profile.v3",
+            {name, source, profilingFingerprint(options_.profiling)});
+        auto hit = loadEntry(cache_, "profile", key, cacheCorrupt_,
+                             [](const std::string &text) {
+                                 return bsyn::profile::StatisticalProfile::
+                                     deserialize(text);
+                             });
+        if (hit) {
+            profileHits_.add();
+            span.arg("cache", "hit");
+            if (cached)
+                *cached = true;
+            return std::move(*hit);
+        }
     }
     profileMisses_.add();
     span.arg("cache", "miss");
@@ -231,7 +265,8 @@ Session::profile(const std::string &source, const std::string &name,
         mod = lang::compile(source, name); // -O0 shape
     }
     auto prof = bsyn::profile::profileModule(mod, options_.profiling);
-    cache_.store(key, prof.serialize());
+    if (cache_.enabled())
+        cache_.store(key, prof.serialize());
     return prof;
 }
 
@@ -249,20 +284,21 @@ Session::synthesize(const bsyn::profile::StatisticalProfile &prof,
     // profile phase) — v2 clones of multi-phase profiles must not be
     // reused, and the benchmark JSON gained the phase count.
     obs::Span span("synthesize", "workload", prof.workloadName);
-    std::string key = ArtifactCache::key(
-        "synth.v3", {synthesisFingerprint(opts), prof.serialize()});
-    std::string text;
-    bool hit;
-    {
-        obs::Span probe("cache-probe", "stage", "synthesize");
-        hit = cache_.load(key, text);
-    }
-    if (hit) {
-        synthHits_.add();
-        span.arg("cache", "hit");
-        if (cached)
-            *cached = true;
-        return benchmarkFromJson(Json::parse(text));
+    std::string key;
+    if (cache_.enabled()) {
+        key = ArtifactCache::key(
+            "synth.v3", {synthesisFingerprint(opts), prof.serialize()});
+        auto hit = loadEntry(cache_, "synthesize", key, cacheCorrupt_,
+                             [](const std::string &text) {
+                                 return benchmarkFromJson(Json::parse(text));
+                             });
+        if (hit) {
+            synthHits_.add();
+            span.arg("cache", "hit");
+            if (cached)
+                *cached = true;
+            return std::move(*hit);
+        }
     }
     synthMisses_.add();
     span.arg("cache", "miss");
@@ -283,7 +319,8 @@ Session::synthesize(const bsyn::profile::StatisticalProfile &prof,
             }
             parallelFor(n, fn);
         });
-    cache_.store(key, benchmarkToJson(syn).dump(-1));
+    if (cache_.enabled())
+        cache_.store(key, benchmarkToJson(syn).dump(-1));
     return syn;
 }
 

@@ -110,7 +110,10 @@ class Session
                        bool schedule_for_in_order = false) const;
 
     /** Profile @p source at -O0 (cached by source content + name).
-     *  @p cached, when non-null, reports whether the cache served it. */
+     *  @p cached, when non-null, reports whether the cache served it.
+     *  A cache entry that fails to decode counts as a miss: it is
+     *  logged, counted in "pipeline.cache.corrupt", recomputed and
+     *  overwritten. The same holds for synthesize(). */
     bsyn::profile::StatisticalProfile
     profile(const std::string &source, const std::string &name,
             bool *cached = nullptr);
@@ -225,6 +228,7 @@ class Session
     obs::Counter &profileMisses_;
     obs::Counter &synthHits_;
     obs::Counter &synthMisses_;
+    obs::Counter &cacheCorrupt_; ///< entries that failed to decode
     obs::Counter &decodeHits_;
     obs::Counter &decodeMisses_;
 };

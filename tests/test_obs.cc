@@ -476,7 +476,6 @@ TEST(ObsInvariants, FidelityResultsAreIdenticalWithTracingOnAndOff)
         pipeline::Session session(std::move(so));
         gen::FidelityOptions fo;
         fo.synthesis.targetInstructions = 30000;
-        fo.timing = false;
         return gen::scoreFidelity(session, batch, fo)
             .resultsJson()
             .dump(-1);
@@ -487,6 +486,45 @@ TEST(ObsInvariants, FidelityResultsAreIdenticalWithTracingOnAndOff)
     std::string on = score(1);
     obs::Trace::end();
     EXPECT_EQ(off, on);
+
+    // Each timed run (original and clone per instance) holds exactly
+    // one "compile" span, its front end and -O passes, so a trace can
+    // split the compile from the timed execution.
+    struct Event
+    {
+        std::string name, workload;
+        double ts, dur, tid;
+    };
+    std::vector<Event> events;
+    Json trace = Json::parse(readFile(dir.sub("trace.json")));
+    const Json &list = trace.get("traceEvents");
+    for (size_t i = 0; i < list.size(); ++i) {
+        const Json &ev = list.at(i);
+        if (ev.get("ph").asString() != "X")
+            continue;
+        const Json &args = ev.get("args");
+        events.push_back({ev.get("name").asString(),
+                          args.has("workload")
+                              ? args.get("workload").asString()
+                              : "",
+                          ev.get("ts").asNumber(), ev.get("dur").asNumber(),
+                          ev.get("tid").asNumber()});
+    }
+    size_t timed = 0;
+    for (const Event &t : events) {
+        if (t.name != "timing")
+            continue;
+        ++timed;
+        size_t compiles = 0;
+        for (const Event &c : events)
+            if (c.name == "compile" && c.tid == t.tid && c.ts >= t.ts &&
+                c.ts < t.ts + t.dur) {
+                EXPECT_EQ(c.workload, t.workload);
+                ++compiles;
+            }
+        EXPECT_EQ(compiles, 1u) << t.workload;
+    }
+    EXPECT_EQ(timed, 2 * batch.size());
 }
 
 TEST(ObsInvariants, ReplayResultsAreIdenticalWithTracingOnAndOff)

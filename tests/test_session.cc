@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -144,6 +145,54 @@ TEST(Session, CacheHitMissSemantics)
     fresh.process(w, fastOptions(), &st);
     EXPECT_TRUE(st.profileCached);
     EXPECT_TRUE(st.synthCached);
+}
+
+TEST(Session, CorruptCacheEntriesCountAsMissesAndAreRecomputed)
+{
+    // A truncated entry must not fail its workload on every later run:
+    // the lookup counts as a miss, and the recomputation overwrites it.
+    ScratchDir dir("corrupt");
+    const auto &w = workloads::findWorkload("crc32/small");
+    pipeline::SessionOptions so;
+    so.cacheDir = dir.str();
+    so.threads = 1;
+
+    pipeline::WorkloadRun cold;
+    {
+        pipeline::Session session(so);
+        cold = session.process(w, fastOptions());
+    }
+    std::map<std::string, std::string> entries;
+    for (const auto &e : fs::recursive_directory_iterator(dir.str())) {
+        if (!e.is_regular_file())
+            continue;
+        entries[e.path().string()] = readFile(e.path().string());
+        fs::resize_file(e.path(), fs::file_size(e.path()) / 2);
+    }
+    ASSERT_EQ(entries.size(), 2u); // one profile, one clone
+
+    pipeline::RunStatus st;
+    {
+        pipeline::Session session(so);
+        auto run = session.process(w, fastOptions(), &st);
+        EXPECT_FALSE(st.profileCached);
+        EXPECT_FALSE(st.synthCached);
+        EXPECT_EQ(session.metrics().counter("pipeline.cache.corrupt").value(),
+                  2u);
+        EXPECT_EQ(session.cacheStats().misses(), 2u);
+        EXPECT_EQ(run.profile.serialize(), cold.profile.serialize());
+        EXPECT_EQ(run.synthetic.cSource, cold.synthetic.cSource);
+    }
+    for (const auto &[path, text] : entries)
+        EXPECT_EQ(readFile(path), text) << path;
+
+    pipeline::Session session(so);
+    auto warm = session.process(w, fastOptions(), &st);
+    EXPECT_TRUE(st.profileCached);
+    EXPECT_TRUE(st.synthCached);
+    EXPECT_EQ(session.metrics().counter("pipeline.cache.corrupt").value(), 0u);
+    EXPECT_EQ(warm.profile.serialize(), cold.profile.serialize());
+    EXPECT_EQ(warm.synthetic.cSource, cold.synthetic.cSource);
 }
 
 TEST(Session, DecodeCacheMemoizesCalibrationMeasurements)
