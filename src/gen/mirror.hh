@@ -40,19 +40,6 @@ castF64ToI32(double d)
     return static_cast<int32_t>(d);
 }
 
-/** MiniC `(uint)<double>`: NaN -> 0, saturate into [0, 2^32), truncate. */
-inline uint32_t
-castF64ToU32(double d)
-{
-    if (std::isnan(d))
-        return 0;
-    if (d < 0.0)
-        return 0;
-    if (d > 4294967295.0)
-        return UINT32_MAX;
-    return static_cast<uint32_t>(d);
-}
-
 } // namespace bsyn::gen::mirror
 
 #endif // BSYN_GEN_MIRROR_HH

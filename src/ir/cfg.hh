@@ -39,8 +39,6 @@ class Cfg
         return reachable_[static_cast<size_t>(bb)];
     }
 
-    size_t numBlocks() const { return successors_.size(); }
-
   private:
     std::vector<std::vector<int>> predecessors;
     std::vector<std::vector<int>> successors_;

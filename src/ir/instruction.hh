@@ -135,14 +135,6 @@ struct Instruction
         return op == Opcode::Load || op == Opcode::Store;
     }
 
-    /** @return true if the instruction has observable side effects. */
-    bool
-    hasSideEffects() const
-    {
-        return op == Opcode::Store || op == Opcode::Call ||
-               op == Opcode::Print;
-    }
-
     // --- Convenience constructors -------------------------------------
 
     static Instruction movImm(int dst, int64_t value, Type t = Type::I32);

@@ -11,15 +11,6 @@ Module::addGlobal(Global g)
 }
 
 int
-Module::findGlobal(const std::string &global_name) const
-{
-    for (size_t i = 0; i < globals.size(); ++i)
-        if (globals[i].name == global_name)
-            return static_cast<int>(i);
-    return -1;
-}
-
-int
 Module::findFunction(const std::string &func_name) const
 {
     for (size_t i = 0; i < functions.size(); ++i)

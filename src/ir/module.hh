@@ -38,9 +38,6 @@ struct Module
     /** Add a global; @return its symbol index. */
     int addGlobal(Global g);
 
-    /** Find a global symbol index by name, or -1. */
-    int findGlobal(const std::string &name) const;
-
     /** Find a function index by name, or -1. */
     int findFunction(const std::string &name) const;
 

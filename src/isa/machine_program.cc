@@ -5,27 +5,6 @@
 namespace bsyn::isa
 {
 
-const char *
-mclassName(MClass c)
-{
-    switch (c) {
-      case MClass::IntAlu: return "int_alu";
-      case MClass::IntMul: return "int_mul";
-      case MClass::IntDiv: return "int_div";
-      case MClass::FpAlu: return "fp_alu";
-      case MClass::FpMul: return "fp_mul";
-      case MClass::FpDiv: return "fp_div";
-      case MClass::Load: return "load";
-      case MClass::Store: return "store";
-      case MClass::Branch: return "branch";
-      case MClass::Jump: return "jump";
-      case MClass::Call: return "call";
-      case MClass::Ret: return "ret";
-      case MClass::Other: return "other";
-    }
-    panic("mclassName: bad class");
-}
-
 MClass
 MInst::cls() const
 {

@@ -30,9 +30,6 @@ enum class MClass : uint8_t
     Other,  ///< print, nop
 };
 
-/** @return a printable class name. */
-const char *mclassName(MClass c);
-
 /** Structural kind of a machine instruction. */
 enum class MKind : uint8_t
 {

@@ -124,18 +124,4 @@ simplifyCfg(ir::Function &fn)
     return changed;
 }
 
-std::vector<int>
-countDefs(const ir::Function &fn)
-{
-    std::vector<int> defs(fn.numRegs, 0);
-    // Parameters are defined on entry.
-    for (size_t p = 0; p < fn.paramTypes.size(); ++p)
-        ++defs[p];
-    for (const auto &bb : fn.blocks)
-        for (const auto &in : bb.insts)
-            if (in.dst >= 0)
-                ++defs[static_cast<size_t>(in.dst)];
-    return defs;
-}
-
 } // namespace bsyn::opt

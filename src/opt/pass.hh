@@ -35,9 +35,6 @@ bool compactBlocks(ir::Function &fn);
  */
 bool simplifyCfg(ir::Function &fn);
 
-/** Count definitions of each register across the function. */
-std::vector<int> countDefs(const ir::Function &fn);
-
 } // namespace bsyn::opt
 
 #endif // BSYN_OPT_PASS_HH

@@ -1,16 +1,13 @@
 #include "pipeline/pipeline.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "isa/lowering.hh"
 #include "lang/frontend.hh"
 #include "obs/trace.hh"
-#include "pipeline/run_sink.hh"
-#include "pipeline/session.hh"
 #include "sim/core_model.hh"
 #include "sim/decoded_program.hh"
-#include "support/error.hh"
+#include "support/thread_pool.hh"
 
 namespace bsyn::pipeline
 {
@@ -54,19 +51,6 @@ defaultSynthesisOptions()
     return opts;
 }
 
-WorkloadRun
-processWorkload(const workloads::Workload &w,
-                const synth::SynthesisOptions &opts)
-{
-    WorkloadRun run;
-    run.workload = w;
-    ir::Module mod = workloads::compileWorkload(w); // -O0 shape
-    run.profile = profile::profileModule(mod);
-    run.synthetic =
-        synth::synthesize(run.profile, opts, &measureInstructions);
-    return run;
-}
-
 uint64_t
 deriveWorkloadSeed(uint64_t baseSeed, const std::string &name)
 {
@@ -85,8 +69,6 @@ deriveWorkloadSeed(uint64_t baseSeed, const std::string &name)
     return z ^ (z >> 31);
 }
 
-SuiteOptions::SuiteOptions() : synthesis(defaultSynthesisOptions()) {}
-
 unsigned
 resolveSuiteThreads(unsigned requested, size_t suiteSize)
 {
@@ -94,40 +76,6 @@ resolveSuiteThreads(unsigned requested, size_t suiteSize)
         requested ? requested : ThreadPool::hardwareThreads();
     return static_cast<unsigned>(
         std::min<size_t>(threads, std::max<size_t>(suiteSize, 1)));
-}
-
-std::vector<WorkloadRun>
-processSuite(const std::vector<workloads::Workload> &suite,
-             const SuiteOptions &opts)
-{
-    // Compatibility shim over the Session API: cache-less session,
-    // collect sink, strict failure semantics (first error rethrown).
-    SessionOptions so;
-    so.pool = opts.pool;
-    if (!opts.pool)
-        so.threads = resolveSuiteThreads(opts.threads, suite.size());
-    so.synthesis = opts.synthesis;
-    Session session(so);
-
-    CollectSink collect;
-    CallbackSink progress([&](const RunStatus &st, const WorkloadRun &r) {
-        if (st.ok && opts.progress)
-            opts.progress(r);
-    });
-    std::vector<RunSink *> sinks{&progress, &collect};
-    TeeSink tee(sinks);
-    auto statuses = session.processSuite(suite, tee, opts.synthesis);
-    for (const auto &st : statuses)
-        if (!st.ok)
-            fatal("workload %s failed: %s", st.workload.c_str(),
-                  st.error.c_str());
-    return collect.takeRuns();
-}
-
-std::vector<WorkloadRun>
-processSuite(const SuiteOptions &opts)
-{
-    return processSuite(workloads::mibenchSuite(), opts);
 }
 
 namespace

@@ -7,21 +7,18 @@
  *
  * The stage-oriented entry point is pipeline::Session (session.hh),
  * which adds a content-addressed artifact cache and streaming RunSink
- * delivery; the free functions here are single-shot conveniences and
- * compatibility shims over it.
+ * delivery; the free functions here are single-shot conveniences.
  */
 
 #ifndef BSYN_PIPELINE_PIPELINE_HH
 #define BSYN_PIPELINE_PIPELINE_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "opt/pipeline.hh"
 #include "profile/profiler.hh"
 #include "sim/machine.hh"
-#include "support/thread_pool.hh"
 #include "synth/synthesizer.hh"
 #include "workloads/suite.hh"
 
@@ -48,10 +45,6 @@ struct WorkloadRun
     synth::SyntheticBenchmark synthetic;
 };
 
-/** Profile @p w at -O0 and synthesize its clone. */
-WorkloadRun processWorkload(const workloads::Workload &w,
-                            const synth::SynthesisOptions &opts = {});
-
 /** Default synthesis options used across the evaluation (fixed seed,
  *  paper-equivalent instruction budget). */
 synth::SynthesisOptions defaultSynthesisOptions();
@@ -65,49 +58,10 @@ synth::SynthesisOptions defaultSynthesisOptions();
  */
 uint64_t deriveWorkloadSeed(uint64_t baseSeed, const std::string &name);
 
-/** Options controlling a whole-suite batch run. */
-struct SuiteOptions
-{
-    /** Synthesis configuration; its seed is the batch *base* seed that
-     *  deriveWorkloadSeed() specializes per workload. */
-    synth::SynthesisOptions synthesis;
-
-    /** Worker threads: 0 = one per hardware thread, 1 = sequential.
-     *  Ignored when @ref pool is set. */
-    unsigned threads = 0;
-
-    /** Run on this existing pool instead of creating a fresh one —
-     *  lets harnesses that batch repeatedly share one set of workers.
-     *  Not owned; must outlive the processSuite() call. */
-    ThreadPool *pool = nullptr;
-
-    /** Optional completion hook, invoked once per workload as it
-     *  finishes. Called from worker threads (concurrently, out of
-     *  order); synchronize inside if needed. */
-    std::function<void(const WorkloadRun &)> progress;
-
-    SuiteOptions();
-};
-
 /** Resolve a requested worker count for a batch of @p suiteSize jobs:
  *  0 means one per hardware thread; the result is clamped to the batch
  *  size so a wide pool never idles on a narrow suite. */
 unsigned resolveSuiteThreads(unsigned requested, size_t suiteSize);
-
-/**
- * Profile + synthesize every workload in @p suite, fanning
- * processWorkload() across a work-stealing thread pool. Results come
- * back in suite order and are byte-identical to a sequential
- * (threads = 1) run of the same batch. Convenience shim over
- * Session::processSuite() — use a Session directly for caching,
- * streaming sinks, or per-workload failure isolation.
- */
-std::vector<WorkloadRun>
-processSuite(const std::vector<workloads::Workload> &suite,
-             const SuiteOptions &opts = {});
-
-/** Batch-process the full MiBench-analogue suite. */
-std::vector<WorkloadRun> processSuite(const SuiteOptions &opts = {});
 
 /**
  * Compile source for a machine (its ISA decides scheduling) at a level

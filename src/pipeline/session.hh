@@ -14,6 +14,7 @@
 #define BSYN_PIPELINE_SESSION_HH
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -25,6 +26,7 @@
 #include "pipeline/pipeline.hh"
 #include "pipeline/run_sink.hh"
 #include "profile/profiler.hh"
+#include "support/thread_pool.hh"
 
 namespace bsyn::pipeline
 {

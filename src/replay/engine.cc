@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "obs/histogram.hh"
-#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "serve/spool.hh"
@@ -126,9 +125,6 @@ driveDirect(Drive &d, pipeline::Session &session)
             span.arg("ok", res.ok ? "true" : "false");
         }
         d.hists[kTotal]->record(elapsedNs(due, Clock::now()));
-        if (d.opts.verbose)
-            obs::logf(obs::LogLevel::Info, "[bsyn] arrival %zu %-30s %s",
-                      i, w.name().c_str(), res.ok ? "ok" : "FAILED");
     }
 }
 
@@ -188,9 +184,6 @@ driveSpool(Drive &d, const serve::Spool &spool)
         uint64_t queueNs = totalNs > serviceNs ? totalNs - serviceNs : 0;
         d.hists[kQueue]->record(queueNs);
         traceQueueWait(i, queueNs);
-        if (d.opts.verbose)
-            obs::logf(obs::LogLevel::Info, "[bsyn] arrival %zu %-30s %s",
-                      i, w.name().c_str(), res.ok ? "ok" : "FAILED");
     }
 }
 

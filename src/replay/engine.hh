@@ -58,8 +58,6 @@ struct ReplayOptions
 
     /** Give up on one arrival's spool result after this long. */
     double spoolTimeoutS = 300.0;
-
-    bool verbose = false; ///< per-arrival progress on stderr
 };
 
 /** Deterministic outcome of one arrival (results half). */

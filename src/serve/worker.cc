@@ -16,6 +16,10 @@ namespace bsyn::serve
 namespace
 {
 
+/** How often a serving worker drops a `metrics.json` snapshot into the
+ *  spool root, so anything that can read the spool can scrape it. */
+constexpr double kMetricsEveryS = 5.0;
+
 pipeline::SessionOptions
 sessionOptionsFor(const WorkerOptions &opts, obs::Registry *metrics)
 {
@@ -194,11 +198,9 @@ Worker::run()
 
     auto lastPublish = std::chrono::steady_clock::now();
     auto maybePublish = [&] {
-        if (opts_.metricsEveryS <= 0.0)
-            return;
         auto now = std::chrono::steady_clock::now();
         if (std::chrono::duration<double>(now - lastPublish).count() <
-            opts_.metricsEveryS)
+            kMetricsEveryS)
             return;
         lastPublish = now;
         publishMetrics();

@@ -57,13 +57,6 @@ struct WorkerOptions
 
     /** Per-job progress lines on stderr. */
     bool verbose = false;
-
-    /** Atomically drop a `metrics.json` snapshot of the worker's
-     *  registry into the spool root at least this often while serving
-     *  (and once on exit) — anything that can read the spool can
-     *  scrape the worker. 0 disables periodic telemetry (the final
-     *  snapshot and `worker_status.json` are still written). */
-    double metricsEveryS = 5.0;
 };
 
 /** Counters of one worker run. Since the observability layer landed

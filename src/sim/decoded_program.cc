@@ -255,30 +255,6 @@ decodeOne(const isa::MachineProgram &prog, int pc)
 
 } // namespace
 
-const char *
-handlerName(Handler h)
-{
-    static const char *const names[] = {
-        "load32", "load64", "store_r32", "store_r64", "store_i32",
-        "store_i64", "condbr_nz", "condbr_z", "jmp", "call", "ret",
-        "print", "mov", "movimm", "neg", "not", "fneg", "cvt_if_s",
-        "cvt_if_u", "cvt_fi_s", "cvt_fi_u", "add", "sub", "mul", "div_s",
-        "div_u", "rem_s", "rem_u", "and", "or", "xor", "shl", "shr_s",
-        "shr_u", "cmpeq", "cmpne", "cmplt_s", "cmple_s", "cmpgt_s",
-        "cmpge_s", "cmplt_u", "cmple_u", "cmpgt_u", "cmpge_u", "fadd",
-        "fsub", "fmul", "fdiv", "cmpeq_f", "cmpne_f", "cmplt_f",
-        "cmple_f", "cmpgt_f", "cmpge_f", "load32_fc", "load64_fc",
-        "store_r32_fc", "store_r64_fc", "store_i32_fc", "store_i64_fc",
-        "brcmp_eq", "brcmp_ne", "brcmp_lt_s", "brcmp_le_s",
-        "brcmp_gt_s", "brcmp_ge_s", "brcmp_lt_u", "brcmp_le_u",
-        "brcmp_gt_u", "brcmp_ge_u", "trap",
-    };
-    static_assert(sizeof(names) / sizeof(names[0]) ==
-                      static_cast<size_t>(Handler::Count),
-                  "handler name table out of sync");
-    return names[static_cast<size_t>(h)];
-}
-
 DecodedProgram::DecodedProgram(const isa::MachineProgram &prog,
                                const DecodeOptions &opts)
     : prog_(&prog)

@@ -84,9 +84,6 @@ enum class Handler : uint8_t
     Count
 };
 
-/** @return a printable handler mnemonic. */
-const char *handlerName(Handler h);
-
 /** Where a compute operand slot comes from, resolved at decode time. */
 enum OperandMode : uint8_t
 {

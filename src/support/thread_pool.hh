@@ -54,9 +54,6 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Number of worker threads. */
-    size_t threadCount() const { return workers_.size(); }
-
     /** Enqueue one task; returns immediately. */
     void submit(Task task);
 

@@ -65,21 +65,6 @@ StreamPlan::globalDecls() const
     return out;
 }
 
-std::vector<std::string>
-StreamPlan::indexDecls() const
-{
-    std::vector<std::string> out;
-    for (int c = 1; c < profile::numMissClasses; ++c) {
-        if (intUsed[static_cast<size_t>(c)])
-            out.push_back(
-                strprintf("int %s = 0;", indexVar(c, false).c_str()));
-        if (fpUsed[static_cast<size_t>(c)])
-            out.push_back(
-                strprintf("int %s = 0;", indexVar(c, true).c_str()));
-    }
-    return out;
-}
-
 std::vector<std::pair<int, bool>>
 StreamPlan::used() const
 {

@@ -52,9 +52,6 @@ class StreamPlan
     /** Global array declarations for every used stream. */
     std::vector<std::string> globalDecls() const;
 
-    /** Index-variable declarations needed inside a function. */
-    std::vector<std::string> indexDecls() const;
-
     /** All (class, is_fp) pairs in use. */
     std::vector<std::pair<int, bool>> used() const;
 

@@ -62,9 +62,8 @@ TEST(EndToEnd, SuiteBatchIsByteIdenticalToSequential)
     // The scheduling contract of the batch API: thread count changes
     // wall-clock, never results. Clones and profiles from a parallel
     // session batch must match a sequential (threads = 1) session batch
-    // byte for byte, each must match a direct Session::process() call
-    // with the per-workload derived seed, and the legacy processSuite()
-    // free function must agree with both.
+    // byte for byte, and each must match a direct Session::process()
+    // call with the per-workload derived seed.
     std::vector<workloads::Workload> ws{
         workloads::findWorkload("crc32/small"),
         workloads::findWorkload("bitcount/small"),
@@ -93,15 +92,6 @@ TEST(EndToEnd, SuiteBatchIsByteIdenticalToSequential)
     direct.seed = pipeline::deriveWorkloadSeed(direct.seed, ws[0].name());
     auto one = parSession.process(ws[0], direct);
     EXPECT_EQ(one.synthetic.cSource, a[0].synthetic.cSource);
-
-    // Legacy free-function shim produces the same bytes.
-    pipeline::SuiteOptions legacy;
-    legacy.synthesis = testOptions();
-    legacy.threads = 2;
-    auto c = pipeline::processSuite(ws, legacy);
-    ASSERT_EQ(c.size(), ws.size());
-    for (size_t i = 0; i < ws.size(); ++i)
-        EXPECT_EQ(c[i].synthetic.cSource, a[i].synthetic.cSource);
 }
 
 TEST(EndToEnd, Crc32CloneBehavesLikeTheOriginal)

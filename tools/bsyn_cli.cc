@@ -1,64 +1,19 @@
 /**
  * @file
- * bsyn — command-line front end to the framework. Each subcommand is one
+ * bsyn — command-line front end to the framework. Each command is one
  * stage of the paper's Figure 1 flow, operating on files so the stages
- * can run on different sides of an organizational wall:
+ * can run on different sides of an organizational wall.
  *
- *   bsyn run <prog.c> [-O0..-O3] [--target x86|x86_64|ia64]
- *       compile + execute a MiniC program, print its output and counts
- *   bsyn profile <prog.c> -o <profile.json>
- *       profile at -O0 and write the statistical profile
- *   bsyn synth <profile.json> -o <clone.c> [--target-instr N] [--seed S]
- *       generate the synthetic clone from a profile
- *   bsyn compare <a.c> <b.c>
- *       run both plagiarism detectors on a source pair
- *   bsyn time <prog.c> [-O0..-O3]
- *       run the program on all five Table III machine models
- *   bsyn suite [-o <dir>] [--threads N] [--seed S] [--target-instr N]
- *       profile + synthesize the whole MiBench-analogue suite in one
- *       batch, fanned across a thread pool; --family swaps in
- *       generated workload-family instances
- *   bsyn list
- *       print every suite instance and registered generator family
- *       (with knob schemas and presets)
- *   bsyn gen <family>[,knob=v...][,seed=S] [-o prog.c]
- *       generate one workload-family instance and write its MiniC
- *       source (stdout by default)
- *   bsyn fidelity [-o report.json] [--family <spec>] [--gen-count N]
- *       score clone-vs-original profile agreement per metric across
- *       the Figure-4 suite plus any generated instances, as JSON
- *   bsyn merge -o <out> <in>... [--fidelity]
- *       reunify per-shard suite output directories (or, with
- *       --fidelity, sharded fidelity reports) into the artifact an
- *       unsharded run would have produced, byte-identical
- *   bsyn serve --spool <dir>
- *       long-running worker: claim jobs from the spool directory,
- *       execute them against one warm session, write results, survive
- *       failing workloads; drains gracefully on SIGINT/SIGTERM or the
- *       spool's stop flag
- *   bsyn submit <kind> <workload> --spool <dir>
- *       drop a profile/synth/fidelity job into a spool (optionally
- *       --wait for its result; exits 3 when the result can no longer
- *       arrive — stop flag set with the job unclaimed, or job gone)
- *   bsyn replay --mix <spec> [--schedule <spec>] [--duration SECS]
- *       open-loop traffic replay: submit a seed-deterministic arrival
- *       stream of generated/suite workloads against one warm session
- *       (or, with --spool, through in-process serve workers) and
- *       report per-stage latency percentiles and achieved rate
- *
- * suite and fidelity accept --shard i/N: the resolved batch is
- * partitioned by a stable hash of each workload's canonical name, so N
- * processes (or machines) sharing a cache directory each compute a
- * disjoint subset, and `bsyn merge` reassembles the unsharded artifact.
- *
- * profile, synth, suite and fidelity run through a pipeline::Session
- * and accept
- * --cache-dir <dir> (or the BSYN_CACHE_DIR environment variable):
- * profiles and clones are stored content-addressed, so re-running with
- * unchanged inputs recomputes nothing and produces byte-identical
- * output. --no-cache disables the cache even when the variable is set.
+ * Two tables drive the parser and the usage text: kFlags declares each
+ * flag once, with the commands that read it, and kCommands gives each
+ * command its operands, its required flag and its entry point. A
+ * command accepts only the flags it reads. A foreign flag, a wrong
+ * operand count or a missing required flag is an argument error: the
+ * command's usage, exit 2. `bsyn` with no arguments prints every
+ * command's flags.
  */
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cmath>
@@ -68,8 +23,8 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gen/fidelity.hh"
@@ -95,260 +50,236 @@ using namespace bsyn;
 namespace
 {
 
+/**
+ * What the command line set. Library settings go straight into the
+ * option structs the commands hand on, so their defaults are the
+ * library's own; the remaining fields exist only in the CLI.
+ */
 struct Args
 {
-    std::vector<std::string> positional;
-    std::string output;
-    std::string target = "x86";
-    opt::OptLevel level = opt::OptLevel::O0;
-    uint64_t targetInstr = 120000;
-    uint64_t seed = 0xb5e9c0de;
-    unsigned threads = 0; ///< 0 = one per hardware thread
-    std::string cacheDir; ///< empty = no artifact cache
-    bool noCache = false; ///< overrides --cache-dir / BSYN_CACHE_DIR
-    bool levelSet = false; ///< an explicit -O flag was passed
-    bool noTiming = false; ///< fidelity: skip the timing CPI metric
+    std::vector<std::string> operands;
+    std::string output;                      ///< -o
+    isa::TargetInfo target = isa::targetX86(); ///< run --target
+    std::optional<opt::OptLevel> level;      ///< run/time default to -O0
+    bool noCache = false; ///< beats --cache-dir and BSYN_CACHE_DIR
+    bool showPhases = false;
+    bool onlyFamilies = false;
+    bool resultsOnly = false;
+    bool mergeFidelity = false;
+    bool wait = false;
+    bool quiet = false;
+    std::optional<obs::LogLevel> logLevel;
+    std::string traceFile;
 
-    /** Base slice checkpoint interval for profiling (retired
-     *  instructions); 0 disables slicing (single-phase profiles). */
-    uint64_t phaseSlices = 4096;
-    bool showPhases = false;    ///< profile/fidelity: per-phase detail
-    bool noPhaseSynth = false;  ///< synthesize from the aggregate only
-    bool onlyFamilies = false;  ///< fidelity: skip the Figure-4 suite
-
-    /** Generated-workload selection: each --family value, in order
-     *  ("all" or "family[,knob=v...][,seed=S]"). */
+    /** Each --family value, in order ("all", "all-presets" or
+     *  "family[,knob=v...][,seed=S]"). */
     std::vector<std::string> families;
     uint64_t genCount = 1; ///< instances per family for "all"/seedless
-
-    /** suite/fidelity: which shard of the resolved batch to run
-     *  (validated eagerly at parse time; 1/1 = everything). */
     serve::ShardSpec shard;
 
-    bool resultsOnly = false; ///< fidelity: deterministic half only
-    bool mergeFidelity = false; ///< merge: inputs are fidelity reports
+    /** Cache directory, batch threads, synthesis and profiling. Its
+     *  thread count is also serve's and replay's, where 0 likewise
+     *  means one per hardware thread. */
+    pipeline::SessionOptions session;
+    gen::FidelityOptions fidelity;
+    serve::WorkerOptions worker; ///< its spool is submit's and replay's
+    serve::Job job;              ///< submit's id and timing switch
+    /** Its spool timeout also bounds submit --wait. */
+    replay::ReplayOptions replay;
+};
 
-    std::string spool;     ///< serve/submit: spool directory
-    std::string jobId;     ///< submit: explicit job id
-    bool timing = false;   ///< submit: fidelity jobs score timing CPI
-    bool wait = false;     ///< submit: block until the result lands
-    uint64_t timeoutS = 300; ///< submit --wait: give up after this
-    bool drain = false;    ///< serve: exit once the spool is empty
-    uint64_t maxJobs = 0;  ///< serve: exit after N jobs (0 = no limit)
-    uint64_t pollMs = 50;  ///< serve: starting idle poll interval
-    uint64_t pollMaxMs = 1000; ///< serve: idle backoff cap
-    double reclaimAfterS = 0.0; ///< serve: stale-claim age (0 = off)
+/** One flag occurrence: the flag as spelled and the value it carries. */
+struct Value
+{
+    std::string flag;
+    std::string text;
 
-    // replay
-    std::string schedule = "constant,rate=50"; ///< arrival rate model
-    std::string mix;          ///< workload mix spec (required)
-    double durationS = 1.0;   ///< replay horizon in seconds
-    uint64_t population = 4;  ///< seeds per seedless mix entry
-    unsigned spoolWorkers = 2; ///< replay --spool: in-process workers
-
-    // observability (every command)
-    std::string traceFile; ///< --trace / BSYN_TRACE: trace-event JSON
-    std::string logLevel;  ///< --log-level / BSYN_LOG
-    bool quiet = false;    ///< --quiet: errors only on stderr
-
-    /** Cache directory after --no-cache is applied. */
-    std::string
-    effectiveCacheDir() const
+    /** A plain unsigned decimal or 0x-hex number within [lo, hi]. */
+    uint64_t
+    u64(uint64_t lo = 0, uint64_t hi = UINT64_MAX) const
     {
-        return noCache ? std::string() : cacheDir;
+        // stoull would silently wrap "-1" to 2^64-1, so a sign or
+        // leading whitespace is junk; base 0 would read a leading zero
+        // as octal, so only 0x means hex.
+        bool hex = text.size() > 2 && text[0] == '0' &&
+                   (text[1] == 'x' || text[1] == 'X');
+        size_t pos = 0;
+        uint64_t v = 0;
+        if (!text.empty() &&
+            std::isalnum(static_cast<unsigned char>(text[0]))) {
+            try {
+                v = std::stoull(text, &pos, hex ? 16 : 10);
+            } catch (const std::exception &) {
+                pos = 0;
+            }
+        }
+        if (pos == 0 || pos != text.size())
+            fatal("invalid number '%s' for %s", text.c_str(), flag.c_str());
+        if (v < lo || v > hi)
+            fatal("%s %llu is out of range (%llu..%llu)", flag.c_str(),
+                  static_cast<unsigned long long>(v),
+                  static_cast<unsigned long long>(lo),
+                  static_cast<unsigned long long>(hi));
+        return v;
+    }
+
+    /** A finite non-negative decimal number. */
+    double
+    f64() const
+    {
+        size_t pos = 0;
+        double v = 0.0;
+        if (!text.empty() &&
+            std::isdigit(static_cast<unsigned char>(text[0]))) {
+            try {
+                v = std::stod(text, &pos);
+            } catch (const std::exception &) {
+                pos = 0;
+            }
+        }
+        if (pos == 0 || pos != text.size() || !std::isfinite(v))
+            fatal("invalid number '%s' for %s", text.c_str(), flag.c_str());
+        return v;
     }
 };
 
-/** Parse a full unsigned decimal/hex number; fatal() on junk. */
-uint64_t
-parseU64(const std::string &s, const char *what)
+/** One bit per command; a flag's owners are a set of them. */
+enum : unsigned
 {
-    // stoull would silently wrap "-1" to 2^64-1; reject any sign or
-    // leading whitespace so only plain unsigned literals get through.
-    if (s.empty() || !std::isalnum(static_cast<unsigned char>(s[0])))
-        fatal("invalid number '%s' for %s", s.c_str(), what);
-    // Base 0 would read a leading zero as octal; only 0x means hex.
-    bool hex = s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X');
-    try {
-        size_t pos = 0;
-        uint64_t v = std::stoull(s, &pos, hex ? 16 : 10);
-        if (pos != s.size())
-            throw std::invalid_argument(s);
-        return v;
-    } catch (const FatalError &) {
-        throw;
-    } catch (const std::exception &) {
-        fatal("invalid number '%s' for %s", s.c_str(), what);
-    }
-}
+    Run = 1u << 0,
+    Profile = 1u << 1,
+    Synth = 1u << 2,
+    Compare = 1u << 3,
+    Time = 1u << 4,
+    Suite = 1u << 5,
+    List = 1u << 6,
+    Gen = 1u << 7,
+    Fidelity = 1u << 8,
+    Merge = 1u << 9,
+    Serve = 1u << 10,
+    Submit = 1u << 11,
+    Replay = 1u << 12,
+    Every = (1u << 13) - 1,
+    Cached = Profile | Synth | Suite | Fidelity | Serve | Replay,
+    Batch = Suite | Fidelity,
+    Synthesizing = Synth | Batch | Submit | Replay,
+};
 
-/** Parse a finite non-negative decimal number; fatal() on junk. */
-double
-parseF64(const std::string &s, const char *what)
+/** A flag, declared once: the commands that read it and the one
+ *  function that parses, validates and stores its value. */
+struct Flag
 {
-    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
-        fatal("invalid number '%s' for %s", s.c_str(), what);
-    try {
-        size_t pos = 0;
-        double v = std::stod(s, &pos);
-        if (pos != s.size() || !std::isfinite(v) || v < 0.0)
-            throw std::invalid_argument(s);
-        return v;
-    } catch (const FatalError &) {
-        throw;
-    } catch (const std::exception &) {
-        fatal("invalid number '%s' for %s", s.c_str(), what);
-    }
-}
+    const char *name;  ///< as usage prints it
+    const char *value; ///< usage name of its value; nullptr = a switch
+    unsigned owners;
+    void (*set)(Args &, const Value &);
+    const char *env = nullptr; ///< environment variable with the default
+};
 
-Args
-parseArgs(int argc, char **argv, int first)
-{
-    Args args;
-    if (const char *env = std::getenv("BSYN_CACHE_DIR"))
-        args.cacheDir = env;
-    if (const char *env = std::getenv("BSYN_TRACE"))
-        args.traceFile = env;
-    if (const char *env = std::getenv("BSYN_LOG"))
-        args.logLevel = env;
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto next = [&](const char *what) {
-            if (i + 1 >= argc)
-                fatal("missing value after %s", what);
-            return std::string(argv[++i]);
-        };
-        if (a == "-o") {
-            args.output = next("-o");
-        } else if (a == "--target") {
-            args.target = next("--target");
-            isa::targetByName(args.target); // reject bad names up front
-        } else if (a == "--target-instr") {
-            args.targetInstr =
-                parseU64(next("--target-instr"), "--target-instr");
-        } else if (a == "--seed") {
-            args.seed = parseU64(next("--seed"), "--seed");
-        } else if (a == "--cache-dir") {
-            args.cacheDir = next("--cache-dir");
-        } else if (a == "--no-cache") {
-            args.noCache = true;
-        } else if (a == "--family") {
-            args.families.push_back(next("--family"));
-        } else if (startsWith(a, "--family=")) {
-            args.families.push_back(a.substr(strlen("--family=")));
-        } else if (a == "--gen-count") {
-            uint64_t n = parseU64(next("--gen-count"), "--gen-count");
-            if (n < 1 || n > 64)
-                fatal("--gen-count %llu is out of range (1..64)",
-                      static_cast<unsigned long long>(n));
-            args.genCount = n;
-        } else if (a == "--no-timing") {
-            args.noTiming = true;
-        } else if (a == "--shard") {
-            // Validated here so a malformed spec ("0/3", "4/3", "x/y",
-            // "1/0") is an argument error: usage + exit 2.
-            args.shard = serve::parseShardSpec(next("--shard"));
-        } else if (a == "--results-only") {
-            args.resultsOnly = true;
-        } else if (a == "--fidelity") {
-            args.mergeFidelity = true;
-        } else if (a == "--spool") {
-            args.spool = next("--spool");
-        } else if (a == "--id") {
-            args.jobId = next("--id");
-            if (!serve::validJobId(args.jobId))
-                fatal("--id '%s' is invalid (need 1..200 chars of "
-                      "[A-Za-z0-9._-])",
-                      args.jobId.c_str());
-        } else if (a == "--timing") {
-            args.timing = true;
-        } else if (a == "--wait") {
-            args.wait = true;
-        } else if (a == "--timeout") {
-            args.timeoutS = parseU64(next("--timeout"), "--timeout");
-        } else if (a == "--drain") {
-            args.drain = true;
-        } else if (a == "--max-jobs") {
-            args.maxJobs = parseU64(next("--max-jobs"), "--max-jobs");
-        } else if (a == "--poll-ms") {
-            args.pollMs = parseU64(next("--poll-ms"), "--poll-ms");
-            if (args.pollMs < 1 || args.pollMs > 60000)
-                fatal("--poll-ms %llu is out of range (1..60000)",
-                      static_cast<unsigned long long>(args.pollMs));
-        } else if (a == "--poll-max-ms") {
-            args.pollMaxMs =
-                parseU64(next("--poll-max-ms"), "--poll-max-ms");
-            if (args.pollMaxMs < 1 || args.pollMaxMs > 600000)
-                fatal("--poll-max-ms %llu is out of range (1..600000)",
-                      static_cast<unsigned long long>(args.pollMaxMs));
-        } else if (a == "--reclaim-after") {
-            args.reclaimAfterS =
-                parseF64(next("--reclaim-after"), "--reclaim-after");
-        } else if (a == "--schedule") {
-            args.schedule = next("--schedule");
-            // Reject a malformed rate model up front: usage + exit 2.
-            replay::Schedule::parse(args.schedule);
-        } else if (a == "--mix") {
-            args.mix = next("--mix"); // validated after the loop
-        } else if (a == "--duration") {
-            args.durationS = parseF64(next("--duration"), "--duration");
-            if (!(args.durationS > 0.0) || args.durationS > 3600.0)
-                fatal("--duration %.3f is out of range (0, 3600]",
-                      args.durationS);
-        } else if (a == "--population") {
-            uint64_t n =
-                parseU64(next("--population"), "--population");
-            if (n < 1 || n > 64)
-                fatal("--population %llu is out of range (1..64)",
-                      static_cast<unsigned long long>(n));
-            args.population = n;
-        } else if (a == "--workers") {
-            uint64_t n = parseU64(next("--workers"), "--workers");
-            if (n < 1 || n > 64)
-                fatal("--workers %llu is out of range (1..64)",
-                      static_cast<unsigned long long>(n));
-            args.spoolWorkers = static_cast<unsigned>(n);
-        } else if (a == "--trace") {
-            args.traceFile = next("--trace");
-        } else if (a == "--log-level") {
-            args.logLevel = next("--log-level");
-        } else if (a == "--quiet") {
-            args.quiet = true;
-        } else if (a == "--phase-slices") {
-            args.phaseSlices =
-                parseU64(next("--phase-slices"), "--phase-slices");
-        } else if (a == "--phases") {
-            args.showPhases = true;
-        } else if (a == "--no-phase-synth") {
-            args.noPhaseSynth = true;
-        } else if (a == "--only-families") {
-            args.onlyFamilies = true;
-        } else if (a == "--threads" || a == "-j") {
-            uint64_t n = parseU64(next(a.c_str()), a.c_str());
-            if (n > 4096)
-                fatal("%s %llu is out of range (max 4096)", a.c_str(),
-                      static_cast<unsigned long long>(n));
-            args.threads = static_cast<unsigned>(n);
-        } else if (a.size() == 3 && a[0] == '-' && a[1] == 'O') {
-            args.level = opt::optLevelByName(a);
-            args.levelSet = true;
-        } else if (!a.empty() && a[0] == '-') {
-            fatal("unknown option '%s'", a.c_str());
-        } else {
-            args.positional.push_back(a);
-        }
-    }
-    // --mix resolves real workloads and depends on --population, so it
-    // validates after the loop (flag order must not matter). A bad mix
-    // — unknown family, weights summing to zero, malformed mode ends —
-    // is an argument error: usage + exit 2.
-    if (!args.mix.empty())
-        replay::Mix::parse(args.mix, args.population);
-    // A bad level name — flag or BSYN_LOG — is an argument error too.
-    if (!args.logLevel.empty())
-        obs::parseLogLevel(args.logLevel);
-    return args;
-}
+const Flag kFlags[] = {
+    {"-O0..-O3", nullptr, Run | Time | Fidelity,
+     [](Args &a, const Value &v) { a.level = opt::optLevelByName(v.flag); }},
+    {"--target", "x86|x86_64|ia64", Run,
+     [](Args &a, const Value &v) { a.target = isa::targetByName(v.text); }},
+    {"-o", "PATH", Profile | Synth | Batch | Gen | Merge | Replay,
+     [](Args &a, const Value &v) { a.output = v.text; }},
+    {"--cache-dir", "DIR", Cached,
+     [](Args &a, const Value &v) { a.session.cacheDir = v.text; },
+     "BSYN_CACHE_DIR"},
+    {"--no-cache", nullptr, Cached,
+     [](Args &a, const Value &) { a.noCache = true; }},
+    {"--phase-slices", "N", Profile | Fidelity,
+     [](Args &a, const Value &v) {
+         a.session.profiling.sliceBaseLength = v.u64();
+     }},
+    {"--phases", nullptr, Profile | Fidelity,
+     [](Args &a, const Value &) { a.showPhases = true; }},
+    {"--target-instr", "N", Synthesizing,
+     [](Args &a, const Value &v) {
+         a.session.synthesis.targetInstructions = v.u64();
+     }},
+    {"--seed", "S", Synthesizing,
+     [](Args &a, const Value &v) { a.session.synthesis.seed = v.u64(); }},
+    {"--no-phase-synth", nullptr, Synth | Fidelity,
+     [](Args &a, const Value &) { a.session.synthesis.phaseAware = false; }},
+    {"--threads", "N", Batch | Serve | Replay,
+     [](Args &a, const Value &v) {
+         a.session.threads = static_cast<unsigned>(v.u64(0, 4096));
+     }},
+    {"--family", "SPEC", Batch,
+     [](Args &a, const Value &v) { a.families.push_back(v.text); }},
+    {"--gen-count", "N", Batch,
+     [](Args &a, const Value &v) { a.genCount = v.u64(1, 64); }},
+    {"--shard", "I/N", Batch,
+     [](Args &a, const Value &v) { a.shard = serve::parseShardSpec(v.text); }},
+    {"--only-families", nullptr, Fidelity,
+     [](Args &a, const Value &) { a.onlyFamilies = true; }},
+    {"--no-timing", nullptr, Fidelity,
+     [](Args &a, const Value &) { a.fidelity.timing = false; }},
+    {"--results-only", nullptr, Fidelity | Replay,
+     [](Args &a, const Value &) { a.resultsOnly = true; }},
+    {"--fidelity", nullptr, Merge,
+     [](Args &a, const Value &) { a.mergeFidelity = true; }},
+    {"--spool", "DIR", Serve | Submit | Replay,
+     [](Args &a, const Value &v) { a.worker.spoolDir = v.text; }},
+    {"--drain", nullptr, Serve,
+     [](Args &a, const Value &) { a.worker.drain = true; }},
+    {"--max-jobs", "N", Serve,
+     [](Args &a, const Value &v) { a.worker.maxJobs = v.u64(); }},
+    {"--poll-ms", "MS", Serve,
+     [](Args &a, const Value &v) {
+         a.worker.pollMs = static_cast<unsigned>(v.u64(1, 60000));
+     }},
+    {"--poll-max-ms", "MS", Serve,
+     [](Args &a, const Value &v) {
+         a.worker.pollMaxMs = static_cast<unsigned>(v.u64(1, 600000));
+     }},
+    {"--reclaim-after", "SECS", Serve,
+     [](Args &a, const Value &v) { a.worker.reclaimAfterS = v.f64(); }},
+    {"--id", "ID", Submit,
+     [](Args &a, const Value &v) {
+         if (!serve::validJobId(v.text))
+             fatal("--id '%s' is invalid (need 1..200 chars of "
+                   "[A-Za-z0-9._-])",
+                   v.text.c_str());
+         a.job.id = v.text;
+     }},
+    {"--timing", nullptr, Submit,
+     [](Args &a, const Value &) { a.job.timing = true; }},
+    {"--wait", nullptr, Submit, [](Args &a, const Value &) { a.wait = true; }},
+    {"--timeout", "SECS", Submit | Replay,
+     [](Args &a, const Value &v) {
+         a.replay.spoolTimeoutS = static_cast<double>(v.u64());
+     }},
+    // Validated once every flag is read: it depends on --population.
+    {"--mix", "SPEC", Replay,
+     [](Args &a, const Value &v) { a.replay.mixSpec = v.text; }},
+    {"--schedule", "SPEC", Replay,
+     [](Args &a, const Value &v) {
+         replay::Schedule::parse(v.text);
+         a.replay.scheduleSpec = v.text;
+     }},
+    {"--duration", "SECS", Replay,
+     [](Args &a, const Value &v) {
+         double secs = v.f64();
+         if (!(secs > 0.0) || secs > 3600.0)
+             fatal("--duration %.3f is out of range (0, 3600]", secs);
+         a.replay.durationS = secs;
+     }},
+    {"--population", "N", Replay,
+     [](Args &a, const Value &v) { a.replay.population = v.u64(1, 64); }},
+    {"--workers", "N", Replay,
+     [](Args &a, const Value &v) {
+         a.replay.spoolWorkers = static_cast<unsigned>(v.u64(1, 64));
+     }},
+    {"--trace", "FILE", Every,
+     [](Args &a, const Value &v) { a.traceFile = v.text; }, "BSYN_TRACE"},
+    {"--log-level", "LEVEL", Every,
+     [](Args &a, const Value &v) { a.logLevel = obs::parseLogLevel(v.text); },
+     "BSYN_LOG"},
+    {"--quiet", nullptr, Every,
+     [](Args &a, const Value &) { a.quiet = true; }},
+};
 
 /**
  * Resolve the --family selection into concrete workloads: "all" is a
@@ -362,17 +293,17 @@ parseArgs(int argc, char **argv, int first)
 std::vector<workloads::Workload>
 generatedSelection(const Args &args)
 {
+    const uint64_t seed = args.session.synthesis.seed;
     std::vector<workloads::Workload> out;
     for (const auto &text : args.families) {
         if (text == "all") {
-            auto sample = gen::Registry::global().sample(
-                args.genCount, args.seed);
+            auto sample =
+                gen::Registry::global().sample(args.genCount, seed);
             out.insert(out.end(), sample.begin(), sample.end());
             continue;
         }
         if (text == "all-presets") {
-            auto batch =
-                gen::Registry::global().allPresets(args.seed);
+            auto batch = gen::Registry::global().allPresets(seed);
             out.insert(out.end(), batch.begin(), batch.end());
             continue;
         }
@@ -392,11 +323,10 @@ generatedSelection(const Args &args)
 int
 cmdRun(const Args &args)
 {
-    if (args.positional.empty())
-        fatal("usage: bsyn run <prog.c> [-O0..-O3] [--target T]");
-    std::string src = readFile(args.positional[0]);
-    auto stats = pipeline::runSource(src, args.positional[0], args.level,
-                                     isa::targetByName(args.target));
+    const std::string &path = args.operands[0];
+    auto stats = pipeline::runSource(readFile(path), path,
+                                     args.level.value_or(opt::OptLevel::O0),
+                                     args.target);
     std::fputs(stats.output.c_str(), stdout);
     obs::logf(obs::LogLevel::Info,
               "[bsyn] %llu instructions (%llu loads, %llu stores, "
@@ -412,18 +342,10 @@ cmdRun(const Args &args)
 int
 cmdProfile(const Args &args)
 {
-    if (args.positional.empty() || args.output.empty())
-        fatal("usage: bsyn profile <prog.c> -o <profile.json> "
-              "[--phase-slices N] [--phases] [--cache-dir D] "
-              "[--no-cache]");
-    pipeline::SessionOptions so;
-    so.cacheDir = args.effectiveCacheDir();
-    so.profiling.sliceBaseLength = args.phaseSlices;
-    pipeline::Session session(so);
-
+    pipeline::Session session(args.session);
     bool cached = false;
-    auto prof = session.profile(readFile(args.positional[0]),
-                                args.positional[0], &cached);
+    auto prof = session.profile(readFile(args.operands[0]),
+                                args.operands[0], &cached);
     prof.saveTo(args.output);
     obs::logf(obs::LogLevel::Info,
               "[bsyn] wrote %s%s: %llu dynamic instructions, %zu "
@@ -458,21 +380,10 @@ cmdProfile(const Args &args)
 int
 cmdSynth(const Args &args)
 {
-    if (args.positional.empty() || args.output.empty())
-        fatal("usage: bsyn synth <profile.json> -o <clone.c> "
-              "[--cache-dir D] [--no-cache]");
-    pipeline::SessionOptions so;
-    so.cacheDir = args.effectiveCacheDir();
-    pipeline::Session session(so);
-
-    auto prof =
-        profile::StatisticalProfile::loadFrom(args.positional[0]);
-    synth::SynthesisOptions opts;
-    opts.targetInstructions = args.targetInstr;
-    opts.seed = args.seed;
-    opts.phaseAware = !args.noPhaseSynth;
+    pipeline::Session session(args.session);
+    auto prof = profile::StatisticalProfile::loadFrom(args.operands[0]);
     bool cached = false;
-    auto syn = session.synthesize(prof, opts, &cached);
+    auto syn = session.synthesize(prof, args.session.synthesis, &cached);
     writeFile(args.output, syn.cSource);
     if (cached) {
         // Skip the measurement run: a warm synth must compute nothing.
@@ -498,11 +409,9 @@ cmdSynth(const Args &args)
 int
 cmdCompare(const Args &args)
 {
-    if (args.positional.size() < 2)
-        fatal("usage: bsyn compare <a.c> <b.c>");
     auto report =
-        similarity::compareSources(readFile(args.positional[0]),
-                                   readFile(args.positional[1]));
+        similarity::compareSources(readFile(args.operands[0]),
+                                   readFile(args.operands[1]));
     std::printf("winnowing (Moss-style): %.1f%%\n",
                 100.0 * report.winnow);
     std::printf("tiling (JPlag-style):   %.1f%%\n",
@@ -516,14 +425,13 @@ cmdCompare(const Args &args)
 int
 cmdTime(const Args &args)
 {
-    if (args.positional.empty())
-        fatal("usage: bsyn time <prog.c> [-O0..-O3]");
-    std::string src = readFile(args.positional[0]);
+    const std::string &path = args.operands[0];
+    std::string src = readFile(path);
     std::printf("%-20s %12s %8s %10s\n", "machine", "cycles", "CPI",
                 "time(us)");
     for (const auto &machine : sim::paperMachines()) {
-        auto t = pipeline::timeOnMachine(src, args.positional[0],
-                                         args.level, machine);
+        auto t = pipeline::timeOnMachine(
+            src, path, args.level.value_or(opt::OptLevel::O0), machine);
         std::printf("%-20s %12llu %8.3f %10.2f\n", machine.name.c_str(),
                     static_cast<unsigned long long>(t.cycles), t.cpi(),
                     machine.timeNs(t.cycles) / 1000.0);
@@ -534,13 +442,6 @@ cmdTime(const Args &args)
 int
 cmdSuite(const Args &args)
 {
-    if (!args.positional.empty())
-        fatal("usage: bsyn suite [-o <dir>] [--threads N] [--seed S] "
-              "[--target-instr N] [--family <spec>] [--gen-count N] "
-              "[--shard i/N] [--cache-dir D] [--no-cache] — unexpected "
-              "argument '%s'",
-              args.positional[0].c_str());
-
     // --family swaps the batch from the MiBench-analogue suite to
     // generated family instances; everything downstream (cache,
     // sinks, seeds) treats them identically.
@@ -559,13 +460,11 @@ cmdSuite(const Args &args)
                   "[bsyn] shard %s: %zu of %zu workloads",
                   args.shard.str().c_str(), suite.size(), sharded.total);
 
-    pipeline::SessionOptions so;
+    pipeline::SessionOptions so = args.session;
     // Cap the pool at the batch width so a wide --threads (or a wide
     // machine) never spawns workers that could only idle.
-    so.threads = pipeline::resolveSuiteThreads(args.threads, suite.size());
-    so.cacheDir = args.effectiveCacheDir();
-    so.synthesis.targetInstructions = args.targetInstr;
-    so.synthesis.seed = args.seed;
+    so.threads = pipeline::resolveSuiteThreads(so.threads, suite.size());
+    const unsigned threads = so.threads;
     pipeline::Session session(std::move(so));
 
     // Sinks: stream clones/profiles to disk as they finish (when -o is
@@ -593,8 +492,6 @@ cmdSuite(const Args &args)
     }
     pipeline::TeeSink tee(sinks);
 
-    unsigned threads =
-        pipeline::resolveSuiteThreads(args.threads, suite.size());
     auto t0 = std::chrono::steady_clock::now();
     auto statuses = session.processSuite(suite, tee);
     double secs = std::chrono::duration<double>(
@@ -650,12 +547,8 @@ cmdSuite(const Args &args)
 }
 
 int
-cmdList(const Args &args)
+cmdList(const Args &)
 {
-    if (!args.positional.empty())
-        fatal("usage: bsyn list — unexpected argument '%s'",
-              args.positional[0].c_str());
-
     std::printf("suite instances (%zu):\n",
                 workloads::mibenchSuite().size());
     std::string last;
@@ -688,10 +581,7 @@ cmdList(const Args &args)
 int
 cmdGen(const Args &args)
 {
-    if (args.positional.size() != 1)
-        fatal("usage: bsyn gen <family>[,knob=v...][,seed=S] "
-              "[-o prog.c]");
-    gen::InstanceSpec spec = gen::parseSpec(args.positional[0]);
+    gen::InstanceSpec spec = gen::parseSpec(args.operands[0]);
     workloads::Workload w = gen::instantiateSpec(spec);
     if (args.output.empty())
         std::fputs(w.source.c_str(), stdout);
@@ -709,14 +599,6 @@ cmdGen(const Args &args)
 int
 cmdFidelity(const Args &args)
 {
-    if (!args.positional.empty())
-        fatal("usage: bsyn fidelity [-o report.json] [--family <spec>] "
-              "[--gen-count N] [--only-families] [--seed S] "
-              "[--target-instr N] [-O0..-O3] [--no-timing] "
-              "[--phase-slices N] [--no-phase-synth] [--threads N] "
-              "[--cache-dir D] [--no-cache] — unexpected argument '%s'",
-              args.positional[0].c_str());
-
     // Scope: every Figure-4 instance (unless --only-families), plus
     // every generated instance the --family selection adds.
     auto t0 = std::chrono::steady_clock::now();
@@ -741,21 +623,14 @@ cmdFidelity(const Args &args)
                   "[bsyn] shard %s: %zu of %zu instances",
                   args.shard.str().c_str(), batch.size(), sharded.total);
 
-    pipeline::SessionOptions so;
-    so.threads = pipeline::resolveSuiteThreads(args.threads,
-                                               batch.size());
-    so.cacheDir = args.effectiveCacheDir();
-    so.synthesis.targetInstructions = args.targetInstr;
-    so.synthesis.seed = args.seed;
-    so.synthesis.phaseAware = !args.noPhaseSynth;
-    so.profiling.sliceBaseLength = args.phaseSlices;
+    pipeline::SessionOptions so = args.session;
+    so.threads = pipeline::resolveSuiteThreads(so.threads, batch.size());
     pipeline::Session session(std::move(so));
 
-    gen::FidelityOptions fo;
+    gen::FidelityOptions fo = args.fidelity;
     fo.synthesis = session.options().synthesis;
-    if (args.levelSet)
-        fo.timingLevel = args.level;
-    fo.timing = !args.noTiming;
+    if (args.level)
+        fo.timingLevel = *args.level;
 
     auto report = gen::scoreFidelity(session, batch, fo);
     report.generationSecs = genSecs;
@@ -831,14 +706,9 @@ cmdFidelity(const Args &args)
 int
 cmdMerge(const Args &args)
 {
-    if (args.positional.empty() || args.output.empty())
-        fatal("usage: bsyn merge -o <out> <in>... [--fidelity] — "
-              "merge per-shard suite directories (or, with --fidelity, "
-              "sharded fidelity reports) into the unsharded artifact");
-
     if (args.mergeFidelity) {
         std::vector<Json> reports;
-        for (const auto &path : args.positional)
+        for (const auto &path : args.operands)
             reports.push_back(Json::parse(readFile(path)));
         Json merged = serve::mergeFidelityReports(reports);
         writeFile(args.output, merged.dump(2) + "\n");
@@ -851,7 +721,7 @@ cmdMerge(const Args &args)
     }
 
     serve::MergeResult res =
-        serve::mergeSuiteDirs(args.output, args.positional);
+        serve::mergeSuiteDirs(args.output, args.operands);
     obs::logf(obs::LogLevel::Info,
               "[bsyn] merged %zu shards into %s: %zu workloads "
               "(%zu failed), %zu artifact files",
@@ -875,20 +745,9 @@ serveSignalHandler(int)
 int
 cmdServe(const Args &args)
 {
-    if (args.spool.empty() || !args.positional.empty())
-        fatal("usage: bsyn serve --spool <dir> [--cache-dir D] "
-              "[--threads N] [--drain] [--max-jobs N] [--poll-ms N] "
-              "[--poll-max-ms N] [--reclaim-after SECS]");
-
-    serve::WorkerOptions wo;
-    wo.spoolDir = args.spool;
-    wo.cacheDir = args.effectiveCacheDir();
-    wo.threads = args.threads;
-    wo.maxJobs = args.maxJobs;
-    wo.drain = args.drain;
-    wo.pollMs = static_cast<unsigned>(args.pollMs);
-    wo.pollMaxMs = static_cast<unsigned>(args.pollMaxMs);
-    wo.reclaimAfterS = args.reclaimAfterS;
+    serve::WorkerOptions wo = args.worker;
+    wo.cacheDir = args.session.cacheDir;
+    wo.threads = args.session.threads;
     wo.verbose = true;
     serve::Worker worker(wo);
 
@@ -899,7 +758,7 @@ cmdServe(const Args &args)
     std::signal(SIGTERM, serveSignalHandler);
 
     obs::logf(obs::LogLevel::Info, "[bsyn] serving %s%s%s",
-              args.spool.c_str(), wo.cacheDir.empty() ? "" : ", cache ",
+              wo.spoolDir.c_str(), wo.cacheDir.empty() ? "" : ", cache ",
               wo.cacheDir.c_str());
     serve::WorkerStats stats = worker.run();
     gServeWorker = nullptr;
@@ -920,21 +779,13 @@ cmdServe(const Args &args)
 int
 cmdSubmit(const Args &args)
 {
-    if (args.positional.size() != 2 || args.spool.empty())
-        fatal("usage: bsyn submit <profile|synth|fidelity> <workload> "
-              "--spool <dir> [--id I] [--seed S] [--target-instr N] "
-              "[--timing] [--wait] [--timeout SECS]");
-
-    serve::Spool spool(args.spool);
-    serve::Job job;
-    job.kind = args.positional[0];
-    job.workload = args.positional[1];
-    job.seed = args.seed;
-    job.targetInstr = args.targetInstr;
-    job.timing = args.timing;
-    if (!args.jobId.empty()) {
-        job.id = args.jobId;
-    } else {
+    serve::Spool spool(args.worker.spoolDir);
+    serve::Job job = args.job;
+    job.kind = args.operands[0];
+    job.workload = args.operands[1];
+    job.seed = args.session.synthesis.seed;
+    job.targetInstr = args.session.synthesis.targetInstructions;
+    if (job.id.empty()) {
         // Derive a readable default id from kind + workload, squashing
         // everything filename-unsafe ("/", "=", ",") to '-'.
         std::string base = job.kind + "-" + job.workload;
@@ -955,8 +806,8 @@ cmdSubmit(const Args &args)
     // burning the whole timeout: exit 3 distinguishes "no worker will
     // ever take this" from a job that genuinely failed (1).
     Json status;
-    switch (serve::waitForResult(spool, job.id, status,
-                                 double(args.timeoutS))) {
+    const double timeoutS = args.replay.spoolTimeoutS;
+    switch (serve::waitForResult(spool, job.id, status, timeoutS)) {
     case serve::WaitOutcome::Done:
         break;
     case serve::WaitOutcome::Stopped:
@@ -972,9 +823,8 @@ cmdSubmit(const Args &args)
                   job.id.c_str());
         return 3;
     case serve::WaitOutcome::Timeout:
-        fatal("submit: timed out after %llus waiting for job '%s'",
-              static_cast<unsigned long long>(args.timeoutS),
-              job.id.c_str());
+        fatal("submit: timed out after %.0fs waiting for job '%s'",
+              timeoutS, job.id.c_str());
     }
     std::string text = status.dump(2) + "\n";
     std::fputs(text.c_str(), stdout);
@@ -984,26 +834,12 @@ cmdSubmit(const Args &args)
 int
 cmdReplay(const Args &args)
 {
-    if (!args.positional.empty() || args.mix.empty())
-        fatal("usage: bsyn replay --mix <spec> [--schedule <spec>] "
-              "[--duration SECS] [--seed S] [--threads N] "
-              "[--population N] [--target-instr N] [-o traffic.json] "
-              "[--results-only] [--spool <dir> [--workers N] "
-              "[--timeout SECS]] [--cache-dir D] [--no-cache]");
-
-    replay::ReplayOptions ro;
-    ro.scheduleSpec = args.schedule;
-    ro.mixSpec = args.mix;
-    ro.durationS = args.durationS;
-    ro.seed = args.seed;
-    ro.threads = args.threads;
-    ro.population = args.population;
-    ro.targetInstr = args.targetInstr;
-    ro.cacheDir = args.effectiveCacheDir();
-    ro.spoolDir = args.spool;
-    ro.spoolWorkers = args.spoolWorkers;
-    ro.spoolTimeoutS = double(args.timeoutS);
-
+    replay::ReplayOptions ro = args.replay;
+    ro.seed = args.session.synthesis.seed;
+    ro.targetInstr = args.session.synthesis.targetInstructions;
+    ro.threads = args.session.threads;
+    ro.cacheDir = args.session.cacheDir;
+    ro.spoolDir = args.worker.spoolDir;
     replay::ReplayReport report = replay::runReplay(ro);
 
     Json j = args.resultsOnly ? report.resultsJson() : report.toJson();
@@ -1041,45 +877,148 @@ cmdReplay(const Args &args)
     return report.failCount ? 1 : 0;
 }
 
+/** A command: its operands, the flag it cannot run without, and the
+ *  function that carries it out once its arguments are checked. */
+struct Command
+{
+    const char *name;
+    unsigned bit;
+    const char *operands; ///< as usage prints them
+    size_t minOperands;
+    size_t maxOperands;
+    const char *required; ///< flag name, or nullptr
+    int (*run)(const Args &);
+    const char *summary;
+};
+
+constexpr size_t kAny = SIZE_MAX;
+
+const Command kCommands[] = {
+    {"run", Run, "<prog.c>", 1, 1, nullptr, cmdRun,
+     "compile and execute a MiniC program; print its output and counts"},
+    {"profile", Profile, "<prog.c>", 1, 1, "-o", cmdProfile,
+     "profile the unoptimized program and write its statistical profile"},
+    {"synth", Synth, "<profile.json>", 1, 1, "-o", cmdSynth,
+     "synthesize the clone of a profile as MiniC source"},
+    {"compare", Compare, "<a.c> <b.c>", 2, 2, nullptr, cmdCompare,
+     "run both plagiarism detectors on a source pair"},
+    {"time", Time, "<prog.c>", 1, 1, nullptr, cmdTime,
+     "run the program on all five Table III machine models"},
+    {"suite", Suite, "", 0, 0, nullptr, cmdSuite,
+     "profile and synthesize the MiBench-analogue suite (or the --family "
+     "instances) in one batch on a thread pool; -o names the clone "
+     "directory"},
+    {"list", List, "", 0, 0, nullptr, cmdList,
+     "print every suite instance and generator family, with knobs and "
+     "presets"},
+    {"gen", Gen, "<family>[,knob=v...][,seed=S]", 1, 1, nullptr, cmdGen,
+     "write one workload-family instance as MiniC source (stdout "
+     "without -o)"},
+    {"fidelity", Fidelity, "", 0, 0, nullptr, cmdFidelity,
+     "score clone-vs-original agreement per metric over the Figure-4 "
+     "suite plus the --family instances; JSON to -o or stdout"},
+    {"merge", Merge, "<in>...", 1, kAny, "-o", cmdMerge,
+     "reunify per-shard suite directories (with --fidelity, sharded "
+     "fidelity reports) into the unsharded artifact, byte-identical"},
+    {"serve", Serve, "", 0, 0, "--spool", cmdServe,
+     "claim jobs from a spool and run them against one warm session; "
+     "drains on SIGINT/SIGTERM or the spool's stop flag"},
+    {"submit", Submit, "<profile|synth|fidelity> <workload>", 2, 2,
+     "--spool", cmdSubmit,
+     "drop a job into a spool; --wait prints its result and exits 3 "
+     "when the result can no longer arrive"},
+    {"replay", Replay, "", 0, 0, "--mix", cmdReplay,
+     "open-loop replay of a seeded arrival stream against one warm "
+     "session (with --spool, through in-process serve workers); reports "
+     "per-stage latency percentiles"},
+};
+
+/** @p line followed by @p words, broken into lines of at most 78
+ *  columns whose continuations are indented by @p indent. */
+std::string
+wrap(std::string line, const std::vector<std::string> &words,
+     size_t indent)
+{
+    std::string out;
+    for (const auto &w : words) {
+        if (line.size() > indent && line.size() + 1 + w.size() > 78) {
+            out += line + '\n';
+            line.assign(indent, ' ');
+        } else if (line.find_first_not_of(' ') != std::string::npos) {
+            line += ' ';
+        }
+        line += w;
+    }
+    return out + line + '\n';
+}
+
+std::string
+flagSynopsis(const Flag &f)
+{
+    return f.value ? strprintf("%s %s", f.name, f.value) : f.name;
+}
+
+/** The synopsis of @p c with every flag it owns (bar those every
+ *  command owns), then what it does. */
+std::string
+commandUsage(const Command &c)
+{
+    auto isRequired = [&](const Flag &f) {
+        return c.required && std::strcmp(f.name, c.required) == 0;
+    };
+    std::vector<std::string> words;
+    if (*c.operands)
+        words.push_back(c.operands);
+    for (const Flag &f : kFlags)
+        if (isRequired(f))
+            words.push_back(flagSynopsis(f));
+    for (const Flag &f : kFlags)
+        if ((f.owners & c.bit) && f.owners != Every && !isRequired(f))
+            words.push_back("[" + flagSynopsis(f) + "]");
+    return wrap(strprintf("  bsyn %s", c.name), words,
+                std::strlen(c.name) + 8) +
+           wrap(std::string(6, ' '), split(c.summary, ' '), 6);
+}
+
+/** The flags every command owns, as one line. */
+std::string
+commonUsage()
+{
+    std::vector<std::string> words;
+    for (const Flag &f : kFlags)
+        if (f.owners == Every)
+            words.push_back("[" + flagSynopsis(f) + "]");
+    return wrap("every command also takes", words, 2);
+}
+
 void
 usage()
 {
-    std::fprintf(
-        stderr,
-        "bsyn — benchmark synthesis for architecture and compiler "
-        "exploration\n\n"
-        "  bsyn run <prog.c> [-O0..-O3] [--target x86|x86_64|ia64]\n"
-        "  bsyn profile <prog.c> -o <profile.json>\n"
-        "  bsyn synth <profile.json> -o <clone.c> [--target-instr N] "
-        "[--seed S]\n"
-        "  bsyn compare <a.c> <b.c>\n"
-        "  bsyn time <prog.c> [-O0..-O3]\n"
-        "  bsyn suite [-o <dir>] [--threads N] [--seed S] "
-        "[--target-instr N]\n"
-        "             [--family <spec>] [--gen-count N]\n"
-        "  bsyn list\n"
-        "  bsyn gen <family>[,knob=v...][,seed=S] [-o prog.c]\n"
-        "  bsyn fidelity [-o report.json] [--family <spec>] "
-        "[--gen-count N]\n"
-        "                [--only-families] [-O0..-O3] [--no-timing]\n"
-        "                [--phase-slices N] [--no-phase-synth] "
-        "[--phases]\n"
-        "  bsyn merge -o <out> <in>... [--fidelity]\n"
-        "  bsyn serve --spool <dir> [--cache-dir D] [--threads N] "
-        "[--drain]\n"
-        "             [--max-jobs N] [--poll-ms N] [--poll-max-ms N]\n"
-        "             [--reclaim-after SECS]\n"
-        "  bsyn submit <profile|synth|fidelity> <workload> --spool "
-        "<dir>\n"
-        "              [--id I] [--seed S] [--target-instr N] "
-        "[--timing]\n"
-        "              [--wait] [--timeout SECS]\n"
-        "  bsyn replay --mix <spec> [--schedule <spec>] [--duration "
-        "SECS]\n"
-        "              [--seed S] [--threads N] [--population N] "
-        "[-o out.json]\n"
-        "              [--results-only] [--spool <dir> [--workers N]]\n"
+    std::string text = "bsyn — benchmark synthesis for architecture and "
+                       "compiler exploration\n\n";
+    for (const Command &c : kCommands)
+        text += commandUsage(c);
+    std::vector<std::string> env;
+    for (const Flag &f : kFlags)
+        if (f.env)
+            env.push_back(strprintf("%s for %s,", f.env, f.name));
+    env.back().pop_back();
+    text += "\n" + commonUsage() + wrap("defaults:", env, 2) +
+        "-j N is short for --threads N, and --family=SPEC for --family "
+        "SPEC.\n"
         "\n"
+        "a --family SPEC is 'all', 'all-presets' (one instance of every\n"
+        "published preset) or 'name[,knob=value...][,seed=S]' "
+        "(repeatable);\nbsyn list prints the registered families and "
+        "their knobs.\n"
+        "--shard I/N (1-based) runs the part of the batch that a stable "
+        "hash of\neach workload name assigns to shard I; bsyn merge "
+        "reassembles the shards\nbyte-identically. --results-only "
+        "writes the deterministic (mergeable)\nhalf of a report only.\n"
+        "profile and fidelity slice the run every --phase-slices "
+        "retired\ninstructions (0 disables) and detect program phases; "
+        "--phases prints\nthe per-phase detail and --no-phase-synth "
+        "clones from the aggregate\nprofile only.\n"
         "replay schedules are 'constant,rate=R', "
         "'bursty,rate=R[,on_ms=A,off_ms=B]'\nor "
         "'ramp,rate=R0,end_rate=R1' (all accept jitter=1 for Poisson "
@@ -1088,63 +1027,79 @@ usage()
         "('fp_kernel,seed=2') or instance ('crc32/small').\n"
         "an idle worker backs off exponentially from --poll-ms to "
         "--poll-max-ms;\n--reclaim-after moves claims older than SECS "
-        "back to new/ (crash\nrecovery). submit --wait exits 3 when "
-        "the result can no longer arrive.\n"
-        "\n"
-        "suite and fidelity accept --shard i/N (1-based): the resolved "
-        "batch is\npartitioned by a stable hash of each workload name; "
-        "bsyn merge\nreassembles per-shard outputs into the unsharded "
-        "artifact,\nbyte-identical. fidelity --results-only writes the "
-        "deterministic\n(mergeable) half of the report only.\n"
-        "profile and fidelity slice the run every --phase-slices "
-        "retired\ninstructions (0 disables) and detect program phases; "
-        "--phases prints\nthe per-phase detail and --no-phase-synth "
-        "clones from the aggregate\nprofile only.\n"
-        "a --family <spec> is 'all', 'all-presets' (one instance of "
-        "every\npublished preset) or 'name[,knob=value...][,seed=S]' "
-        "(repeatable);\nbsyn list prints the registered families and "
-        "their knobs.\n"
-        "profile/synth/suite/fidelity also accept --cache-dir <dir> "
-        "and --no-cache;\nBSYN_CACHE_DIR sets the default cache "
-        "directory.\n"
-        "every command accepts --trace <file> (write a Chrome "
-        "trace-event JSON\nof the run's stage spans; BSYN_TRACE sets "
-        "the default), --log-level\ndebug|info|warn|error|silent "
-        "(BSYN_LOG) and --quiet (errors only).\n");
+        "back to new/ (crash\nrecovery).\n";
+    std::fputs(text.c_str(), stderr);
 }
 
-int
-runCommand(const std::string &cmd, const Args &args)
+/** Parse the arguments after the command name; fatal() on any
+ *  argument error. */
+Args
+parseArgs(const Command &cmd, int argc, char **argv)
 {
-    if (cmd == "run")
-        return cmdRun(args);
-    if (cmd == "profile")
-        return cmdProfile(args);
-    if (cmd == "synth")
-        return cmdSynth(args);
-    if (cmd == "compare")
-        return cmdCompare(args);
-    if (cmd == "time")
-        return cmdTime(args);
-    if (cmd == "suite")
-        return cmdSuite(args);
-    if (cmd == "list")
-        return cmdList(args);
-    if (cmd == "gen")
-        return cmdGen(args);
-    if (cmd == "fidelity")
-        return cmdFidelity(args);
-    if (cmd == "merge")
-        return cmdMerge(args);
-    if (cmd == "serve")
-        return cmdServe(args);
-    if (cmd == "submit")
-        return cmdSubmit(args);
-    if (cmd == "replay")
-        return cmdReplay(args);
-    std::fprintf(stderr, "bsyn: unknown command '%s'\n", cmd.c_str());
-    usage();
-    return 2;
+    Args args;
+    std::vector<const Flag *> given;
+    auto wasGiven = [&](const char *name) {
+        return std::any_of(given.begin(), given.end(), [&](const Flag *f) {
+            return std::strcmp(f->name, name) == 0;
+        });
+    };
+    for (int i = 2; i < argc; ++i) {
+        std::string arg = argv[i];
+        if (arg.empty() || arg[0] != '-') {
+            args.operands.push_back(arg);
+            continue;
+        }
+        // Beyond "FLAG [VALUE]": --family=SPEC carries its value
+        // inline, -O0..-O3 spell the level into the flag, and -j is
+        // short for --threads.
+        std::string spelled = arg;
+        std::optional<std::string> inlined;
+        if (startsWith(arg, "--family=")) {
+            spelled = "--family";
+            inlined = arg.substr(spelled.size() + 1);
+        }
+        std::string name = spelled;
+        if (spelled.size() == 3 && startsWith(spelled, "-O"))
+            name = "-O0..-O3";
+        else if (spelled == "-j")
+            name = "--threads";
+        const Flag *flag = std::find_if(
+            std::begin(kFlags), std::end(kFlags),
+            [&](const Flag &f) { return name == f.name; });
+        if (flag == std::end(kFlags))
+            fatal("unknown option '%s'", spelled.c_str());
+        if (!(flag->owners & cmd.bit))
+            fatal("'bsyn %s' does not take %s", cmd.name, spelled.c_str());
+        Value value{spelled, inlined.value_or("")};
+        if (flag->value && !inlined) {
+            if (i + 1 >= argc)
+                fatal("missing value after %s", spelled.c_str());
+            value.text = argv[++i];
+        }
+        flag->set(args, value);
+        given.push_back(flag);
+    }
+    for (const Flag &f : kFlags) {
+        const char *env = f.env ? std::getenv(f.env) : nullptr;
+        if (env && (f.owners & cmd.bit) && !wasGiven(f.name))
+            f.set(args, {f.env, env});
+    }
+
+    if (args.operands.size() < cmd.minOperands)
+        fatal("'bsyn %s' is missing an operand", cmd.name);
+    if (args.operands.size() > cmd.maxOperands)
+        fatal("unexpected argument '%s'",
+              args.operands[cmd.maxOperands].c_str());
+    if (cmd.required && !wasGiven(cmd.required))
+        fatal("'bsyn %s' needs %s", cmd.name, cmd.required);
+
+    // A bad mix (unknown family, weights summing to zero, malformed
+    // mode ends) is an argument error too.
+    if (wasGiven("--mix"))
+        replay::Mix::parse(args.replay.mixSpec, args.replay.population);
+    if (args.noCache)
+        args.session.cacheDir.clear();
+    return args;
 }
 
 } // namespace
@@ -1152,36 +1107,43 @@ runCommand(const std::string &cmd, const Args &args)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
+    const Command *cmd = nullptr;
+    for (const Command &c : kCommands)
+        if (argc >= 2 && std::strcmp(argv[1], c.name) == 0)
+            cmd = &c;
+    if (!cmd) {
+        if (argc >= 2)
+            std::fprintf(stderr, "bsyn: unknown command '%s'\n", argv[1]);
         usage();
         return 2;
     }
-    std::string cmd = argv[1];
 
-    // Argument errors (unknown flag, bad --target, malformed number)
-    // print the usage text and exit 2; failures while carrying out a
-    // valid request exit 1.
+    // Argument errors print the command's usage and exit 2; failures
+    // while carrying out a valid request exit 1.
     Args args;
     try {
-        args = parseArgs(argc, argv, 2);
+        args = parseArgs(*cmd, argc, argv);
     } catch (const FatalError &e) {
-        std::fprintf(stderr, "bsyn: %s\n", e.what());
-        usage();
+        std::fprintf(stderr, "bsyn: %s\nusage:\n%s%s", e.what(),
+                     commandUsage(*cmd).c_str(), commonUsage().c_str());
         return 2;
     }
 
     // --quiet keeps errors; --log-level names any threshold exactly.
     if (args.quiet)
         obs::setLogLevel(obs::LogLevel::Error);
-    else if (!args.logLevel.empty())
-        obs::setLogLevel(obs::parseLogLevel(args.logLevel));
+    else if (args.logLevel)
+        obs::setLogLevel(*args.logLevel);
     if (!args.traceFile.empty())
         obs::Trace::begin(args.traceFile);
 
     int rc;
     try {
-        rc = runCommand(cmd, args);
-    } catch (const FatalError &e) {
+        rc = cmd->run(args);
+    } catch (const std::exception &e) {
+        // A FatalError is the request's fault. Anything else (a
+        // PanicError on malformed input, say) is a bug, but it too
+        // ends the run here so the trace below still flushes.
         obs::logf(obs::LogLevel::Error, "%s", e.what());
         rc = 1;
     }
