@@ -23,7 +23,7 @@ main()
     std::vector<double> err_with, err_without;
     for (const auto &run : bench::representativeRuns()) {
         auto opts = bench::benchSynthesisOptions();
-        opts.skeleton.useLoopInfo = false;
+        opts.useLoopInfo = false;
         auto flat = synth::synthesize(run.profile, opts,
                                       &pipeline::measureInstructions);
 

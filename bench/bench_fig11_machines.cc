@@ -27,7 +27,8 @@ suiteTime(const std::vector<std::string> &sources,
 {
     auto times = bench::parallelMap<double>(sources.size(), [&](size_t i) {
         auto t = pipeline::timeOnMachine(sources[i], "fig11", level,
-                                         machine);
+                                         machine)
+                     .stats;
         return machine.timeNs(t.cycles);
     });
     double total = 0;

@@ -68,7 +68,8 @@ main(int argc, char **argv)
     std::printf("[vendor] machine sweep on the clone (-O2):\n");
     for (const auto &machine : sim::paperMachines()) {
         auto t = pipeline::timeOnMachine(clone, "clone",
-                                         opt::OptLevel::O2, machine);
+                                         opt::OptLevel::O2, machine)
+                     .stats;
         std::printf("  %-18s CPI %.3f  time %.2f us\n",
                     machine.name.c_str(), t.cpi(),
                     machine.timeNs(t.cycles) / 1000.0);

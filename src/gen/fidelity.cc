@@ -266,13 +266,13 @@ scoreOne(pipeline::Session &session, const workloads::Workload &w,
         std::vector<PhaseSpan> os = phaseSpans(prof);
         for (size_t i = 0; i + 1 < os.size(); ++i)
             cuts.push_back(os[i].end);
-        auto ot = pipeline::timeOnMachinePhased(w.source, w.name(),
-                                                opts.timingLevel,
-                                                opts.machine, cuts);
-        auto ct = pipeline::timeOnMachinePhased(clone.cSource,
-                                                w.name() + ".clone",
-                                                opts.timingLevel,
-                                                opts.machine, cuts);
+        auto ot = pipeline::timeOnMachine(w.source, w.name(),
+                                          opts.timingLevel, opts.machine,
+                                          cuts);
+        auto ct = pipeline::timeOnMachine(clone.cSource,
+                                          w.name() + ".clone",
+                                          opts.timingLevel, opts.machine,
+                                          cuts);
         inst.timingSecs = secondsSince(t0);
         pushMetric(inst, "timing.cpi", ot.stats.cpi(),
                    ct.stats.cpi());
@@ -308,12 +308,6 @@ scoreOne(pipeline::Session &session, const workloads::Workload &w,
 
 } // namespace
 
-FidelityOptions::FidelityOptions()
-    : synthesis(pipeline::defaultSynthesisOptions()),
-      machine(sim::ptlsimConfig(8))
-{
-}
-
 FidelityReport
 scoreFidelity(pipeline::Session &session,
               const std::vector<workloads::Workload> &batch,
@@ -341,23 +335,68 @@ scoreFidelity(pipeline::Session &session,
 }
 
 Json
-FidelityReport::resultsJson() const
+fidelityResults(Json instances)
 {
-    Json root = Json::object();
-    // v3: instances carry their batch index, so sharded reports can be
-    // merged back into full-batch order (serve/merge.hh).
-    // v4: per-phase CPI (originalCpi/cloneCpi/cpiError per phase,
-    // worstCpiError per instance, phaseWorstCpi in the summary).
-    root.set("schema", Json("bsyn.fidelity.v4"));
-
-    Json list = Json::array();
     // Per-metric accumulation across ok instances, in first-seen
     // metric order (deterministic: every instance scores the same
-    // metric list).
+    // metric list), plus mean/max of the per-instance worst-phase mix
+    // and CPI errors (the phase-aware vs aggregate-only comparison CI
+    // smokes on).
     std::vector<std::string> metricOrder;
     std::map<std::string, std::pair<double, double>> metricAgg; // sum,max
     size_t okCount = 0;
+    double mixSum = 0, mixMax = 0, cpiSum = 0, cpiMax = 0;
+    for (size_t i = 0; i < instances.size(); ++i) {
+        const Json &inst = instances.at(i);
+        if (!inst.get("ok").asBool())
+            continue;
+        ++okCount;
+        const Json &metrics = inst.get("metrics");
+        for (const auto &name : metrics.keys()) {
+            double err = metrics.get(name).get("relError").asNumber();
+            auto [it, fresh] = metricAgg.try_emplace(name, err, err);
+            if (fresh) {
+                metricOrder.push_back(name);
+            } else {
+                it->second.first += err;
+                it->second.second = std::max(it->second.second, err);
+            }
+        }
+        const Json &phases = inst.get("phases");
+        double mix = phases.get("worstMixError").asNumber();
+        mixSum += mix;
+        mixMax = std::max(mixMax, mix);
+        double cpi = phases.get("worstCpiError").asNumber();
+        cpiSum += cpi;
+        cpiMax = std::max(cpiMax, cpi);
+    }
 
+    Json summary = Json::object();
+    auto add = [&](const std::string &name, double sum, double max) {
+        Json entry = Json::object();
+        entry.set("mean", Json(okCount ? sum / double(okCount) : 0.0));
+        entry.set("max", Json(max));
+        summary.set(name, std::move(entry));
+    };
+    for (const auto &name : metricOrder)
+        add(name, metricAgg.at(name).first, metricAgg.at(name).second);
+    add("phaseWorstMix", mixSum, mixMax);
+    add("phaseWorstCpi", cpiSum, cpiMax);
+
+    Json root = Json::object();
+    root.set("schema", Json(kFidelitySchema));
+    uint64_t total = instances.size();
+    root.set("instances", std::move(instances));
+    root.set("summary", std::move(summary));
+    root.set("scored", Json(static_cast<uint64_t>(okCount)));
+    root.set("failed", Json(total - okCount));
+    return root;
+}
+
+Json
+FidelityReport::resultsJson() const
+{
+    Json list = Json::array();
     for (const auto &inst : instances) {
         Json j = Json::object();
         j.set("workload", Json(inst.workload));
@@ -369,7 +408,6 @@ FidelityReport::resultsJson() const
             list.push(std::move(j));
             continue;
         }
-        ++okCount;
         Json metrics = Json::object();
         for (const auto &m : inst.metrics) {
             Json entry = Json::object();
@@ -377,15 +415,6 @@ FidelityReport::resultsJson() const
             entry.set("clone", Json(m.clone));
             entry.set("relError", Json(m.error));
             metrics.set(m.metric, std::move(entry));
-            auto it = metricAgg.find(m.metric);
-            if (it == metricAgg.end()) {
-                metricOrder.push_back(m.metric);
-                metricAgg[m.metric] = {m.error, m.error};
-            } else {
-                it->second.first += m.error;
-                it->second.second =
-                    std::max(it->second.second, m.error);
-            }
         }
         j.set("metrics", std::move(metrics));
         j.set("meanRelError", Json(inst.meanError));
@@ -416,53 +445,7 @@ FidelityReport::resultsJson() const
         j.set("phases", std::move(phases));
         list.push(std::move(j));
     }
-    root.set("instances", std::move(list));
-
-    Json summary = Json::object();
-    for (const auto &name : metricOrder) {
-        const auto &agg = metricAgg.at(name);
-        Json entry = Json::object();
-        entry.set("mean", Json(okCount ? agg.first / double(okCount)
-                                       : 0.0));
-        entry.set("max", Json(agg.second));
-        summary.set(name, std::move(entry));
-    }
-    // Batch-level phase summary: mean/max of the per-instance
-    // worst-phase mix error (the phase-aware vs aggregate-only
-    // comparison CI smokes on).
-    {
-        double sum = 0, mx = 0;
-        for (const auto &inst : instances) {
-            if (!inst.ok)
-                continue;
-            sum += inst.phaseWorstMixError;
-            mx = std::max(mx, inst.phaseWorstMixError);
-        }
-        Json entry = Json::object();
-        entry.set("mean", Json(okCount ? sum / double(okCount) : 0.0));
-        entry.set("max", Json(mx));
-        summary.set("phaseWorstMix", std::move(entry));
-    }
-    // Same shape for the timing half: mean/max of the per-instance
-    // worst-phase CPI error.
-    {
-        double sum = 0, mx = 0;
-        for (const auto &inst : instances) {
-            if (!inst.ok)
-                continue;
-            sum += inst.phaseWorstCpiError;
-            mx = std::max(mx, inst.phaseWorstCpiError);
-        }
-        Json entry = Json::object();
-        entry.set("mean", Json(okCount ? sum / double(okCount) : 0.0));
-        entry.set("max", Json(mx));
-        summary.set("phaseWorstCpi", std::move(entry));
-    }
-    root.set("summary", std::move(summary));
-    root.set("scored", Json(static_cast<uint64_t>(okCount)));
-    root.set("failed",
-             Json(static_cast<uint64_t>(instances.size() - okCount)));
-    return root;
+    return fidelityResults(std::move(list));
 }
 
 Json

@@ -38,12 +38,10 @@ struct FidelityOptions
     opt::OptLevel timingLevel = opt::OptLevel::O2;
 
     /** Machine the CPI metric is measured on. */
-    sim::MachineSpec machine;
+    sim::MachineSpec machine = sim::ptlsimConfig(8);
 
     /** Skip the (comparatively slow) timing-model CPI metric. */
     bool timing = true;
-
-    FidelityOptions();
 };
 
 /** One scored metric: original value, clone value, and the error
@@ -118,6 +116,24 @@ struct InstanceFidelity
     double cloneProfileSecs = 0.0;
     double timingSecs = 0.0;
 };
+
+/** Schema tag of the results document. v3: instances carry their batch
+ *  index, so sharded reports can be merged back into full-batch order
+ *  (serve/merge.hh). v4: per-phase CPI (originalCpi/cloneCpi/cpiError
+ *  per phase, worstCpiError per instance, phaseWorstCpi in the
+ *  summary). */
+inline constexpr const char *kFidelitySchema = "bsyn.fidelity.v4";
+
+/**
+ * The deterministic results document over @p instances, the instance
+ * objects of a report in batch order: the schema, the instances, the
+ * per-metric and worst-phase summary (mean and max over the ok
+ * instances, accumulated in batch order) and the scored/failed counts.
+ * FidelityReport::resultsJson() builds its document here, and so does
+ * the shard merge from the instances of its inputs, so a merged report
+ * is byte-identical to an unsharded one.
+ */
+Json fidelityResults(Json instances);
 
 /** The whole scoreboard. */
 struct FidelityReport

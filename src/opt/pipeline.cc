@@ -167,6 +167,9 @@ runBasePipeline(ir::Module &mod, OptLevel level)
     return changed;
 }
 
+/** Maximum callee size (IR instructions) -O3 inlines. */
+constexpr size_t kInlineThreshold = 40;
+
 } // namespace
 
 int
@@ -216,7 +219,7 @@ optimize(ir::Module &mod, OptLevel level, const OptOptions &opts)
     }
 
     if (level >= OptLevel::O3 && opts.enableInlining) {
-        if (inlineSmallFunctions(mod, opts.inlineThreshold) > 0) {
+        if (inlineSmallFunctions(mod, kInlineThreshold) > 0) {
             for (int round = 0; round < 4; ++round) {
                 if (!runBasePipeline(mod, level))
                     break;

@@ -37,9 +37,6 @@ struct OptOptions
 
     /** Allow inlining at O3. */
     bool enableInlining = true;
-
-    /** Maximum callee size (IR instructions) considered for inlining. */
-    size_t inlineThreshold = 40;
 };
 
 /**

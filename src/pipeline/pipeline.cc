@@ -44,11 +44,7 @@ measureInstructions(const std::string &source)
 synth::SynthesisOptions
 defaultSynthesisOptions()
 {
-    synth::SynthesisOptions opts;
-    opts.seed = 0xb5e9c0de;
-    opts.targetInstructions = 120000; // paper's 10M, scaled to suite size
-    opts.calibrationRounds = 2;
-    return opts;
+    return {};
 }
 
 uint64_t
@@ -78,41 +74,20 @@ resolveSuiteThreads(unsigned requested, size_t suiteSize)
         std::min<size_t>(threads, std::max<size_t>(suiteSize, 1)));
 }
 
-namespace
-{
-
-/** The front end and -O passes of a timed run, as a "compile" span of
- *  its own so a trace separates them from the timed execution. */
-ir::Module
-compileForTiming(const std::string &source, const std::string &name,
-                 opt::OptLevel level, const sim::MachineSpec &machine)
-{
-    obs::Span span("compile", "workload", name);
-    return compileSource(source, name, level, machine.core.inOrder);
-}
-
-} // namespace
-
-sim::TimingStats
-timeOnMachine(const std::string &source, const std::string &name,
-              opt::OptLevel level, const sim::MachineSpec &machine)
-{
-    obs::Span span("timing", "workload", name);
-    span.arg("machine", machine.name);
-    ir::Module mod = compileForTiming(source, name, level, machine);
-    isa::MachineProgram prog = isa::lower(mod, machine.isa);
-    return sim::simulateTiming(prog, machine.core);
-}
-
 PhasedTiming
-timeOnMachinePhased(const std::string &source, const std::string &name,
-                    opt::OptLevel level,
-                    const sim::MachineSpec &machine,
-                    const std::vector<double> &cuts)
+timeOnMachine(const std::string &source, const std::string &name,
+              opt::OptLevel level, const sim::MachineSpec &machine,
+              const std::vector<double> &cuts)
 {
     obs::Span span("timing", "workload", name);
     span.arg("machine", machine.name);
-    ir::Module mod = compileForTiming(source, name, level, machine);
+    ir::Module mod;
+    {
+        // The front end and -O passes, as a span of their own so a
+        // trace separates them from the timed execution.
+        obs::Span cspan("compile", "workload", name);
+        mod = compileSource(source, name, level, machine.core.inOrder);
+    }
     isa::MachineProgram prog = isa::lower(mod, machine.isa);
     sim::DecodedProgram decoded(prog);
 
@@ -120,8 +95,8 @@ timeOnMachinePhased(const std::string &source, const std::string &name,
     // count, which the timing model only knows after the fact — one
     // fast-path run (cheap next to the timed run) resolves them to
     // absolute boundaries.
-    uint64_t total = sim::execute(decoded).instructions;
     PhasedTiming out;
+    uint64_t total = cuts.empty() ? 0 : sim::execute(decoded).instructions;
     uint64_t prev = 0;
     for (double f : cuts) {
         auto b = static_cast<uint64_t>(f * static_cast<double>(total));

@@ -46,7 +46,7 @@ struct WorkloadRun
 };
 
 /** Default synthesis options used across the evaluation (fixed seed,
- *  paper-equivalent instruction budget). */
+ *  paper-equivalent instruction budget): SynthesisOptions{}. */
 synth::SynthesisOptions defaultSynthesisOptions();
 
 /**
@@ -63,20 +63,11 @@ uint64_t deriveWorkloadSeed(uint64_t baseSeed, const std::string &name);
  *  size so a wide pool never idles on a narrow suite. */
 unsigned resolveSuiteThreads(unsigned requested, size_t suiteSize);
 
-/**
- * Compile source for a machine (its ISA decides scheduling) at a level
- * and run the timing model. @return timing stats.
- */
-sim::TimingStats timeOnMachine(const std::string &source,
-                               const std::string &name,
-                               opt::OptLevel level,
-                               const sim::MachineSpec &machine);
-
-/** Timing of one source cut at normalized execution points. */
+/** Timing of one source, optionally cut at normalized execution
+ *  points. */
 struct PhasedTiming
 {
-    sim::TimingStats stats; ///< whole-run timing (identical to
-                            ///< timeOnMachine over the same source)
+    sim::TimingStats stats; ///< whole-run timing (cuts do not perturb it)
 
     /** Absolute retired-instruction boundary for each requested cut
      *  (cut fraction scaled by the run's instruction count). */
@@ -87,18 +78,18 @@ struct PhasedTiming
 };
 
 /**
- * Compile source for a machine and run the timing model with cycle
- * checkpoints at the given normalized execution fractions (0 < f < 1,
- * strictly increasing). The segment between consecutive cuts yields a
- * per-interval CPI — the fidelity report uses this to score clone CPI
- * per detected phase of the original. Checkpoints do not perturb the
- * timing result.
+ * Compile source for a machine (its ISA decides scheduling) at a level
+ * and run the timing model, with cycle checkpoints at the normalized
+ * execution fractions @p cuts (0 < f < 1, strictly increasing). The
+ * segment between consecutive cuts yields a per-interval CPI — the
+ * fidelity report uses this to score clone CPI per detected phase of
+ * the original. Resolving the fractions to instruction counts costs
+ * one fast-path run, which a call without cuts skips.
  */
-PhasedTiming timeOnMachinePhased(const std::string &source,
-                                 const std::string &name,
-                                 opt::OptLevel level,
-                                 const sim::MachineSpec &machine,
-                                 const std::vector<double> &cuts);
+PhasedTiming timeOnMachine(const std::string &source,
+                           const std::string &name, opt::OptLevel level,
+                           const sim::MachineSpec &machine,
+                           const std::vector<double> &cuts = {});
 
 } // namespace bsyn::pipeline
 

@@ -9,52 +9,12 @@
 #include "support/error.hh"
 #include "support/hash.hh"
 #include "support/json.hh"
-#include "support/string_util.hh"
 
 namespace bsyn::pipeline
 {
 
 namespace
 {
-
-/** Every synthesis knob that influences the generated clone, rendered
- *  as a stable string for the cache key. Adding an option field without
- *  extending this fingerprint would serve stale clones — keep in sync
- *  with synth::SynthesisOptions. */
-std::string
-synthesisFingerprint(const synth::SynthesisOptions &o)
-{
-    return strprintf(
-        "seed=%llu;R=%llu;target=%llu;cal=%d;"
-        "phaseAware=%d;maxPhases=%d;"
-        "maxFuncs=%d;loopInfo=%d;cold=%.17g;hot=%.17g;"
-        "stream=%llu;minPeriod=%d;maxPeriod=%d;"
-        "maxOps=%d;intTemps=%d;fpTemps=%d;patterns=%d",
-        static_cast<unsigned long long>(o.seed),
-        static_cast<unsigned long long>(o.reductionFactor),
-        static_cast<unsigned long long>(o.targetInstructions),
-        o.calibrationRounds, int(o.phaseAware), o.maxPhases,
-        o.skeleton.maxFunctions,
-        int(o.skeleton.useLoopInfo), o.skeleton.coldThreshold,
-        o.skeleton.hotThreshold,
-        static_cast<unsigned long long>(o.emitter.streamElems),
-        o.emitter.minPeriod, o.emitter.maxPeriod,
-        o.emitter.pattern.maxOperandsPerStatement,
-        o.emitter.pattern.numIntTemps, o.emitter.pattern.numFpTemps,
-        int(o.emitter.pattern.usePatterns));
-}
-
-/** Every profiling knob that shapes the stored profile — the slice
- *  stream and phase detection feed the v3 phase list, so two sessions
- *  profiling with different slicing must not share cache entries. */
-std::string
-profilingFingerprint(const bsyn::profile::ProfileOptions &o)
-{
-    return strprintf(
-        "slice=%llu;maxSlices=%u;phaseThresh=%.17g;minPhase=%.17g",
-        static_cast<unsigned long long>(o.sliceBaseLength),
-        o.maxSliceCheckpoints, o.phaseThreshold, o.minPhaseFraction);
-}
 
 Json
 benchmarkToJson(const synth::SyntheticBenchmark &b)
@@ -123,8 +83,6 @@ loadEntry(const ArtifactCache &cache, const char *stage,
 }
 
 } // namespace
-
-SessionOptions::SessionOptions() : synthesis(defaultSynthesisOptions()) {}
 
 /** See the declaration: pinned on the heap so the DecodedProgram's
  *  back-reference into prog stays valid for the entry's lifetime. */
@@ -232,8 +190,8 @@ Session::profile(const std::string &source, const std::string &name,
 {
     // v3: profiles became time-sliced with a per-phase sub-profile
     // list (v2 entries lack the slice stream and must not be reused);
-    // the slicing knobs join the key so sessions with different phase
-    // detection settings keep distinct entries.
+    // the profiling options join the key so sessions with different
+    // profiling caches or slicing keep distinct entries.
     obs::Span span("profile", "workload", name);
     // Keys and payloads are built only for a cache that keeps them: a
     // clone's profile can serialize to megabytes.
@@ -241,7 +199,7 @@ Session::profile(const std::string &source, const std::string &name,
     if (cache_.enabled()) {
         key = ArtifactCache::key(
             "profile.v3",
-            {name, source, profilingFingerprint(options_.profiling)});
+            {name, source, options_.profiling.fingerprint()});
         auto hit = loadEntry(cache_, "profile", key, cacheCorrupt_,
                              [](const std::string &text) {
                                  return bsyn::profile::StatisticalProfile::
@@ -287,7 +245,7 @@ Session::synthesize(const bsyn::profile::StatisticalProfile &prof,
     std::string key;
     if (cache_.enabled()) {
         key = ArtifactCache::key(
-            "synth.v3", {synthesisFingerprint(opts), prof.serialize()});
+            "synth.v3", {opts.fingerprint(), prof.serialize()});
         auto hit = loadEntry(cache_, "synthesize", key, cacheCorrupt_,
                              [](const std::string &text) {
                                  return benchmarkFromJson(Json::parse(text));

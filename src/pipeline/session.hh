@@ -51,8 +51,9 @@ struct SessionOptions
      *  specializes per workload. */
     synth::SynthesisOptions synthesis;
 
-    /** Profiling configuration (slice interval, checkpoint budget,
-     *  phase threshold). Part of the profile cache fingerprint. */
+    /** Profiling configuration (profiling cache, slice interval,
+     *  checkpoint budget). Its fingerprint() is part of the profile
+     *  cache key. */
     bsyn::profile::ProfileOptions profiling;
 
     /** Registry the session's scoped metrics chain into (and through
@@ -61,8 +62,6 @@ struct SessionOptions
      *  A serve::Worker passes its own registry here so one scrape of
      *  the worker sees its session's cache traffic too. */
     obs::Registry *metricsParent = nullptr;
-
-    SessionOptions();
 };
 
 /** Snapshot of a session's cache-hit counters (per stage). Since the
@@ -97,7 +96,7 @@ struct CacheStats
 class Session
 {
   public:
-    explicit Session(SessionOptions opts = SessionOptions());
+    explicit Session(SessionOptions opts = {});
     ~Session();
 
     Session(const Session &) = delete;

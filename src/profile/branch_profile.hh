@@ -38,19 +38,13 @@ struct BranchStats
     }
 };
 
-/** Thresholds splitting easy and hard branches. */
-struct BranchClassifier
+/** The paper's easy/hard split: a branch whose outcome rarely flips
+ *  (sticky) or nearly always flips (alternating) is easy to predict. */
+inline bool
+isEasyBranch(double transition_rate)
 {
-    double lowThreshold = 0.1;  ///< <= low  -> easy (sticky outcome)
-    double highThreshold = 0.9; ///< >= high -> easy (alternating)
-
-    bool
-    isEasy(double transition_rate) const
-    {
-        return transition_rate <= lowThreshold ||
-               transition_rate >= highThreshold;
-    }
-};
+    return transition_rate <= 0.1 || transition_rate >= 0.9;
+}
 
 } // namespace bsyn::profile
 

@@ -11,6 +11,7 @@
 #include "isa/lowering.hh"
 #include "sim/decoded_program.hh"
 #include "support/error.hh"
+#include "support/string_util.hh"
 
 namespace bsyn::profile
 {
@@ -20,6 +21,20 @@ using isa::MKind;
 
 namespace
 {
+
+/** Phase boundary threshold: adjacent slices merge into one phase
+ *  while the L1 distance between their behaviour vectors (load /
+ *  store / branch / fp / other mix fractions, miss rate, taken rate)
+ *  stays within this value. Within-phase slice noise is typically
+ *  < 0.01 and genuine mix shifts > 0.2, so it sits an order of
+ *  magnitude above the noise floor. */
+constexpr double kPhaseThreshold = 0.10;
+
+/** Minimum phase weight: a detected phase smaller than this fraction
+ *  of the run merges into its nearer neighbour. Absorbs the
+ *  transition slices that straddle a real boundary (their blended
+ *  features otherwise surface as singleton phases). */
+constexpr double kMinPhaseFraction = 0.05;
 
 /** Static structure shared by the aggregate and every phase. */
 struct StaticSfgl
@@ -181,8 +196,7 @@ struct PhaseSeg
  */
 std::vector<PhaseSeg>
 detectPhases(const sim::SlicedCounters &slices,
-             const std::vector<isa::MClass> &clsByPc, double threshold,
-             double min_fraction)
+             const std::vector<isa::MClass> &clsByPc)
 {
     const auto &snaps = slices.snapshots;
     std::vector<PhaseSeg> segs;
@@ -211,7 +225,7 @@ detectPhases(const sim::SlicedCounters &slices,
         SliceFeatures f =
             sliceFeatures(segDelta(i, i), clsByPc, retired);
         bool runt = retired < slices.sliceLength / 8;
-        if (runt || featureDistance(cur, f) <= threshold) {
+        if (runt || featureDistance(cur, f) <= kPhaseThreshold) {
             ++segs.back().count;
         } else {
             segs.push_back({i, 1});
@@ -226,7 +240,7 @@ detectPhases(const sim::SlicedCounters &slices,
     // neighbour is behaviourally closer.
     uint64_t total = snaps.back().retired;
     uint64_t min_retired = static_cast<uint64_t>(
-        min_fraction * static_cast<double>(total));
+        kMinPhaseFraction * static_cast<double>(total));
     while (segs.size() > 1) {
         size_t victim = segs.size();
         uint64_t victim_retired = 0;
@@ -344,8 +358,7 @@ buildStaticSfgl(const ir::Module &mod, const isa::MachineProgram &prog)
  *  SFGL — the per-phase and aggregate assemblies share this verbatim. */
 void
 annotateDynamic(Sfgl &sfgl, const RunMeasurements &dyn,
-                const StaticSfgl &st, const isa::MachineProgram &prog,
-                const ProfileOptions &opts)
+                const StaticSfgl &st, const isa::MachineProgram &prog)
 {
     for (size_t b = 0; b < sfgl.blocks.size(); ++b)
         sfgl.blocks[b].execCount = dyn.blockExec[b];
@@ -374,8 +387,7 @@ annotateDynamic(Sfgl &sfgl, const RunMeasurements &dyn,
             if (!block_annotated && blk.term == SfglTerm::Branch) {
                 blk.takenRate = bs.takenRate();
                 blk.transitionRate = bs.transitionRate();
-                blk.easyBranch = opts.branchClassifier.isEasy(
-                    blk.transitionRate);
+                blk.easyBranch = isEasyBranch(blk.transitionRate);
                 block_annotated = true;
             }
         }
@@ -419,7 +431,7 @@ annotateDynamic(Sfgl &sfgl, const RunMeasurements &dyn,
 
 StatisticalProfile
 assemble(const StaticSfgl &st, const isa::MachineProgram &prog,
-         const RunMeasurements &run, const ProfileOptions &opts)
+         const RunMeasurements &run)
 {
     BSYN_ASSERT(run.counters.execCount.size() == prog.code.size() &&
                     run.blockExec.size() == st.block_start_pc.size(),
@@ -431,7 +443,7 @@ assemble(const StaticSfgl &st, const isa::MachineProgram &prog,
     profile.dynamicInstructions = run.exec.instructions;
     profile.mix = run.mix;
     profile.sfgl = st.sfgl;
-    annotateDynamic(profile.sfgl, run, st, prog, opts);
+    annotateDynamic(profile.sfgl, run, st, prog);
 
     // --- Phase detection over the slice stream. Each phase's
     // sub-profile is reconstructed from snapshot deltas, so a
@@ -446,9 +458,7 @@ assemble(const StaticSfgl &st, const isa::MachineProgram &prog,
         for (const MInst &mi : prog.code)
             clsByPc.push_back(mi.cls());
 
-        std::vector<PhaseSeg> segs =
-            detectPhases(slices, clsByPc, opts.phaseThreshold,
-                         opts.minPhaseFraction);
+        std::vector<PhaseSeg> segs = detectPhases(slices, clsByPc);
         if (segs.size() > 1) {
             for (const PhaseSeg &seg : segs) {
                 size_t last = seg.first + seg.count - 1;
@@ -471,7 +481,7 @@ assemble(const StaticSfgl &st, const isa::MachineProgram &prog,
                 ph.sliceCount = seg.count;
                 ph.mix = pd.mix;
                 ph.sfgl = st.sfgl;
-                annotateDynamic(ph.sfgl, pd, st, prog, opts);
+                annotateDynamic(ph.sfgl, pd, st, prog);
                 profile.phases.push_back(std::move(ph));
             }
         }
@@ -502,6 +512,16 @@ ProfileOptions::sliceOptions() const
     return so;
 }
 
+std::string
+ProfileOptions::fingerprint() const
+{
+    return strprintf("cache=%llu/%u/%u;slice=%llu;maxSlices=%u",
+                     static_cast<unsigned long long>(profilingCache.sizeBytes),
+                     profilingCache.lineBytes, profilingCache.associativity,
+                     static_cast<unsigned long long>(sliceBaseLength),
+                     maxSliceCheckpoints);
+}
+
 StatisticalProfile
 profileWorkload(const ir::Module &mod, const isa::MachineProgram &prog,
                 const ProfileOptions &opts)
@@ -511,16 +531,16 @@ profileWorkload(const ir::Module &mod, const isa::MachineProgram &prog,
     sim::DecodedProgram decoded(prog);
     run.exec = sim::executeInstrumentedSliced(
         decoded, opts.profilingCache, run.counters, run.slices,
-        opts.sliceOptions(), opts.limits);
+        opts.sliceOptions());
     reconstructFromCounters(prog, st, run);
-    return assemble(st, prog, run, opts);
+    return assemble(st, prog, run);
 }
 
 StatisticalProfile
 assembleProfile(const ir::Module &mod, const isa::MachineProgram &prog,
-                const RunMeasurements &run, const ProfileOptions &opts)
+                const RunMeasurements &run)
 {
-    return assemble(buildStaticSfgl(mod, prog), prog, run, opts);
+    return assemble(buildStaticSfgl(mod, prog), prog, run);
 }
 
 StatisticalProfile

@@ -10,6 +10,7 @@
 #define BSYN_PROFILE_PROFILER_HH
 
 #include <map>
+#include <string>
 
 #include "ir/module.hh"
 #include "isa/machine_program.hh"
@@ -25,12 +26,6 @@ struct ProfileOptions
     /** Cache simulated during profiling for hit/miss classification. */
     sim::CacheConfig profilingCache{8 * 1024, 32, 4};
 
-    /** Easy/hard branch thresholds. */
-    BranchClassifier branchClassifier;
-
-    /** Interpreter limits. */
-    sim::ExecLimits limits;
-
     /** Slice checkpoint interval in retired instructions; the interval
      *  doubles whenever maxSliceCheckpoints checkpoints accumulate
      *  (sim::SliceOptions), so the effective slice length is derived
@@ -41,23 +36,14 @@ struct ProfileOptions
     /** Checkpoint budget before adjacent slice pairs coalesce. */
     uint32_t maxSliceCheckpoints = 64;
 
-    /** Phase boundary threshold: adjacent slices merge into one phase
-     *  while the L1 distance between their behaviour vectors (load /
-     *  store / branch / fp / other mix fractions, miss rate, taken
-     *  rate) stays within this value. Within-phase slice noise is
-     *  typically < 0.01 and genuine mix shifts > 0.2, so the default
-     *  sits an order of magnitude above the noise floor. */
-    double phaseThreshold = 0.10;
-
-    /** Minimum phase weight: a detected phase smaller than this
-     *  fraction of the run merges into its nearer neighbour. Absorbs
-     *  the transition slices that straddle a real boundary (their
-     *  blended features otherwise surface as singleton phases). */
-    double minPhaseFraction = 0.05;
-
     /** The slice settings above as the engine takes them (base length
      *  0 when slicing is off). */
     sim::SliceOptions sliceOptions() const;
+
+    /** Every field as a stable string: the profile cache key. A field
+     *  added above must join it, or sessions would share profiles
+     *  across settings. */
+    std::string fingerprint() const;
 };
 
 /**
@@ -95,13 +81,12 @@ StatisticalProfile profileWorkload(const ir::Module &mod,
  * Turn one run's measurements into the statistical profile: the SFGL
  * with its loop, branch and memory annotations, the instruction mix
  * and, from the slice stream, the phase list. @p run must come from
- * executing @p prog under @p opts (profiling cache, slice settings);
- * profileWorkload() is this step applied to the fused run.
+ * executing @p prog; profileWorkload() is this step applied to the
+ * fused run.
  */
 StatisticalProfile assembleProfile(const ir::Module &mod,
                                    const isa::MachineProgram &prog,
-                                   const RunMeasurements &run,
-                                   const ProfileOptions &opts = {});
+                                   const RunMeasurements &run);
 
 /**
  * Convenience wrapper used throughout the evaluation: lower @p mod for

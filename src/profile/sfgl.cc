@@ -1,6 +1,8 @@
 #include "profile/sfgl.hh"
 
+#include "profile/instr_mix.hh"
 #include "support/error.hh"
+#include "support/string_util.hh"
 
 namespace bsyn::profile
 {
@@ -53,18 +55,52 @@ descriptorToJson(const InstrDescriptor &d)
     return j;
 }
 
-InstrDescriptor
-descriptorFromJson(const Json &j)
+/**
+ * @p v as an index into @p n entries named @p what ("block", "loop");
+ * -1 passes too when @p allow_none. Anything else is fatal, naming the
+ * field @p path() — built only on failure, so a valid load pays for no
+ * strings.
+ */
+template <typename Path>
+int
+checkedId(int64_t v, size_t n, const char *what, bool allow_none,
+          const Path &path)
 {
+    if ((allow_none && v == -1) ||
+        (v >= 0 && static_cast<uint64_t>(v) < n))
+        return static_cast<int>(v);
+    fatal("%s: %s %lld out of range (%zu %ss)", path().c_str(), what,
+          static_cast<long long>(v), n, what);
+}
+
+/** @p v as a value of an enumeration with @p n members. */
+template <typename Path>
+int
+checkedEnum(int64_t v, size_t n, const char *what, const Path &path)
+{
+    if (v < 0 || static_cast<uint64_t>(v) >= n)
+        fatal("%s: %s %lld out of range (0..%zu)", path().c_str(), what,
+              static_cast<long long>(v), n - 1);
+    return static_cast<int>(v);
+}
+
+InstrDescriptor
+descriptorFromJson(const Json &j, size_t block, size_t index)
+{
+    auto path = [&] {
+        return strprintf("sfgl.blocks[%zu].code[%zu]", block, index);
+    };
     InstrDescriptor d;
     d.op = static_cast<ir::Opcode>(j.at(0).asInt());
     d.type = static_cast<ir::Type>(j.at(1).asInt());
-    d.cls = static_cast<isa::MClass>(j.at(2).asInt());
+    d.cls = static_cast<isa::MClass>(checkedEnum(
+        j.at(2).asInt(), InstrMix::numClasses, "instruction class", path));
     int flags = static_cast<int>(j.at(3).asInt());
     d.readsMem = flags & 1;
     d.writesMem = flags & 2;
     d.isControl = flags & 4;
-    d.missClass = static_cast<int>(j.at(4).asInt());
+    d.missClass = checkedEnum(j.at(4).asInt(), numMissClasses,
+                              "miss class", path);
     // Pre-v2 profiles (5-element descriptors) lack the per-branch
     // annotation; load them with the fields at their defaults.
     if (j.size() > 7) {
@@ -137,47 +173,92 @@ Sfgl::toJson() const
 Sfgl
 Sfgl::fromJson(const Json &root)
 {
+    // Profiles cross organizational boundaries, so every id is checked
+    // on this one path all loads take (CLI, artifact cache, phase
+    // sub-profiles); the synthesizer then indexes by them unchecked.
     Sfgl g;
     const Json &jblocks = root.get("blocks");
-    for (size_t i = 0; i < jblocks.size(); ++i) {
+    const Json &jloops = root.get("loops");
+    const size_t nblocks = jblocks.size();
+    const size_t nloops = jloops.size();
+    for (size_t i = 0; i < nblocks; ++i) {
         const Json &jb = jblocks.at(i);
+        auto at = [i](const char *field) {
+            return [i, field] {
+                return strprintf("sfgl.blocks[%zu].%s", i, field);
+            };
+        };
         SfglBlock b;
-        b.id = static_cast<int>(jb.get("id").asInt());
+        int64_t id = jb.get("id").asInt();
+        if (id != static_cast<int64_t>(i))
+            fatal("sfgl.blocks[%zu].id: %lld, expected %zu", i,
+                  static_cast<long long>(id), i);
+        b.id = static_cast<int>(i);
         b.funcId = static_cast<int>(jb.get("func").asInt());
         b.irBlockId = static_cast<int>(jb.get("irBlock").asInt());
         b.execCount = static_cast<uint64_t>(jb.get("exec").asNumber());
         const Json &code = jb.get("code");
         for (size_t k = 0; k < code.size(); ++k)
-            b.code.push_back(descriptorFromJson(code.at(k)));
+            b.code.push_back(descriptorFromJson(code.at(k), i, k));
         const Json &succs = jb.get("succs");
         for (size_t k = 0; k < succs.size(); ++k) {
             SfglEdge e;
-            e.to = static_cast<int>(succs.at(k).at(0).asInt());
+            e.to = checkedId(succs.at(k).at(0).asInt(), nblocks, "block",
+                             false, [i, k] {
+                                 return strprintf(
+                                     "sfgl.blocks[%zu].succs[%zu]", i, k);
+                             });
             e.count =
                 static_cast<uint64_t>(succs.at(k).at(1).asNumber());
             b.succs.push_back(e);
         }
-        b.term = static_cast<SfglTerm>(jb.get("term").asInt());
+        b.term = static_cast<SfglTerm>(
+            checkedEnum(jb.get("term").asInt(), 3, "terminator", at("term")));
         b.takenRate = jb.get("takenRate").asNumber();
         b.transitionRate = jb.get("transitionRate").asNumber();
         b.easyBranch = jb.get("easy").asBool();
-        b.loopId = static_cast<int>(jb.get("loop").asInt());
+        b.loopId = checkedId(jb.get("loop").asInt(), nloops, "loop", true,
+                             at("loop"));
         g.blocks.push_back(std::move(b));
     }
-    const Json &jloops = root.get("loops");
-    for (size_t i = 0; i < jloops.size(); ++i) {
+    for (size_t i = 0; i < nloops; ++i) {
         const Json &jl = jloops.at(i);
+        auto at = [i](const char *field) {
+            return [i, field] {
+                return strprintf("sfgl.loops[%zu].%s", i, field);
+            };
+        };
         SfglLoop l;
-        l.id = static_cast<int>(jl.get("id").asInt());
-        l.header = static_cast<int>(jl.get("header").asInt());
+        int64_t id = jl.get("id").asInt();
+        if (id != static_cast<int64_t>(i))
+            fatal("sfgl.loops[%zu].id: %lld, expected %zu", i,
+                  static_cast<long long>(id), i);
+        l.id = static_cast<int>(i);
+        l.header = checkedId(jl.get("header").asInt(), nblocks, "block",
+                             false, at("header"));
         const Json &mem = jl.get("blocks");
         for (size_t k = 0; k < mem.size(); ++k)
-            l.blocks.push_back(static_cast<int>(mem.at(k).asInt()));
-        l.parent = static_cast<int>(jl.get("parent").asInt());
+            l.blocks.push_back(checkedId(
+                mem.at(k).asInt(), nblocks, "block", false, [i, k] {
+                    return strprintf("sfgl.loops[%zu].blocks[%zu]", i, k);
+                }));
+        l.parent = checkedId(jl.get("parent").asInt(), nloops, "loop",
+                             true, at("parent"));
         l.depth = static_cast<int>(jl.get("depth").asInt());
         l.entries = static_cast<uint64_t>(jl.get("entries").asNumber());
         l.avgIterations = jl.get("avgIterations").asNumber();
         g.loops.push_back(std::move(l));
+    }
+    // The synthesizer walks parent chains to the outermost loop, so
+    // each must end: an acyclic chain visits fewer than nloops loops.
+    for (size_t i = 0; i < nloops; ++i) {
+        size_t steps = 0;
+        for (int p = g.loops[i].parent; p >= 0;
+             p = g.loops[static_cast<size_t>(p)].parent)
+            if (++steps >= nloops)
+                fatal("sfgl.loops[%zu].parent: the parent chain is a "
+                      "cycle",
+                      i);
     }
     const Json &names = root.get("funcNames");
     for (size_t i = 0; i < names.size(); ++i)

@@ -38,7 +38,7 @@ struct ReplayOptions
     std::string scheduleSpec = "constant,rate=50";
     std::string mixSpec;
     double durationS = 1.0;   ///< schedule horizon (virtual = wall)
-    uint64_t seed = 0xb5e9c0de;
+    uint64_t seed = synth::SynthesisOptions().seed;
 
     /** Driver threads submitting arrivals; 0 = one per hardware
      *  thread (capped at 16). */
@@ -47,7 +47,8 @@ struct ReplayOptions
     /** Seeds (1..P) a seedless family entry of the mix expands to. */
     uint64_t population = 4;
 
-    uint64_t targetInstr = 120000; ///< per-arrival synthesis budget
+    /** Per-arrival synthesis budget. */
+    uint64_t targetInstr = synth::SynthesisOptions().targetInstructions;
     std::string cacheDir;          ///< session artifact cache
 
     /** Non-empty: submit arrivals as spool jobs served by

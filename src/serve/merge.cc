@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <map>
 #include <set>
 
 #include "obs/trace.hh"
@@ -136,12 +135,32 @@ mergeSuiteDirs(const std::string &outDir,
 }
 
 Json
+fidelityShardReport(gen::FidelityReport &report, const ShardedBatch &sharded,
+                    bool resultsOnly)
+{
+    // Global batch indices let the merge restore full-batch instance
+    // (and summary accumulation) order.
+    for (size_t k = 0; k < report.instances.size(); ++k)
+        report.instances[k].index = sharded.indices[k];
+    Json j = resultsOnly ? report.resultsJson() : report.toJson();
+    if (!sharded.spec.isAll()) {
+        Json sh = Json::object();
+        sh.set("index", Json(static_cast<uint64_t>(sharded.spec.index)));
+        sh.set("count", Json(static_cast<uint64_t>(sharded.spec.count)));
+        sh.set("total", Json(static_cast<uint64_t>(sharded.total)));
+        sh.set("suiteHash", Json(sharded.suiteHash));
+        j.set("shard", sh);
+    }
+    return j;
+}
+
+Json
 mergeFidelityReports(const std::vector<Json> &shardReports)
 {
     obs::Span span("merge", "kind", "fidelity");
     span.arg("shards", std::to_string(shardReports.size()));
-    // Shard provenance: every report must carry the section `bsyn
-    // fidelity --shard` writes, agree on suite identity, and cover
+    // Shard provenance: every report must carry the section
+    // fidelityShardReport() writes, agree on suite identity, and cover
     // 1..N exactly once.
     std::vector<ShardSpec> specs;
     for (const auto &rep : shardReports) {
@@ -156,15 +175,15 @@ mergeFidelityReports(const std::vector<Json> &shardReports)
     }
     checkShardCover(specs, "fidelity");
     const Json &first = shardReports[0];
-    const std::string schema = first.get("schema").asString();
     const std::string suiteHash =
         first.get("shard").get("suiteHash").asString();
     const uint64_t total = static_cast<uint64_t>(
         first.get("shard").get("total").asInt());
     for (const auto &rep : shardReports) {
-        if (rep.get("schema").asString() != schema)
-            fatal("fidelity merge: mixed schemas '%s' vs '%s'",
-                  rep.get("schema").asString().c_str(), schema.c_str());
+        if (rep.get("schema").asString() != gen::kFidelitySchema)
+            fatal("fidelity merge: schema '%s', expected '%s'",
+                  rep.get("schema").asString().c_str(),
+                  gen::kFidelitySchema);
         const Json &sh = rep.get("shard");
         if (sh.get("suiteHash").asString() != suiteHash)
             fatal("fidelity merge: shard produced from a different "
@@ -194,74 +213,13 @@ mergeFidelityReports(const std::vector<Json> &shardReports)
         fatal("fidelity merge: shards cover %zu of %llu instances",
               instances.size(), static_cast<unsigned long long>(total));
 
-    // Rebuild the unsharded results document. The summary accumulates
-    // over instances in restored batch order, so the floating-point
-    // sums — and therefore the serialized bytes — match an unsharded
-    // run exactly.
-    Json root = Json::object();
-    root.set("schema", Json(schema));
+    // The summary accumulates over the instances in restored batch
+    // order, so the floating-point sums — and therefore the serialized
+    // bytes — match an unsharded run exactly.
     Json list = Json::array();
-    std::vector<std::string> metricOrder;
-    std::map<std::string, std::pair<double, double>> metricAgg; // sum,max
-    size_t okCount = 0;
-    double phaseSum = 0, phaseMax = 0;
-    double cpiSum = 0, cpiMax = 0;
-    for (const Json *inst : instances) {
+    for (const Json *inst : instances)
         list.push(*inst);
-        if (!inst->get("ok").asBool())
-            continue;
-        ++okCount;
-        const Json &metrics = inst->get("metrics");
-        for (const auto &name : metrics.keys()) {
-            double err = metrics.get(name).get("relError").asNumber();
-            auto it = metricAgg.find(name);
-            if (it == metricAgg.end()) {
-                metricOrder.push_back(name);
-                metricAgg[name] = {err, err};
-            } else {
-                it->second.first += err;
-                it->second.second = std::max(it->second.second, err);
-            }
-        }
-        double worst =
-            inst->get("phases").get("worstMixError").asNumber();
-        phaseSum += worst;
-        phaseMax = std::max(phaseMax, worst);
-        double worstCpi =
-            inst->get("phases").get("worstCpiError").asNumber();
-        cpiSum += worstCpi;
-        cpiMax = std::max(cpiMax, worstCpi);
-    }
-    root.set("instances", std::move(list));
-
-    Json summary = Json::object();
-    for (const auto &name : metricOrder) {
-        const auto &agg = metricAgg.at(name);
-        Json entry = Json::object();
-        entry.set("mean",
-                  Json(okCount ? agg.first / double(okCount) : 0.0));
-        entry.set("max", Json(agg.second));
-        summary.set(name, std::move(entry));
-    }
-    {
-        Json entry = Json::object();
-        entry.set("mean",
-                  Json(okCount ? phaseSum / double(okCount) : 0.0));
-        entry.set("max", Json(phaseMax));
-        summary.set("phaseWorstMix", std::move(entry));
-    }
-    {
-        Json entry = Json::object();
-        entry.set("mean",
-                  Json(okCount ? cpiSum / double(okCount) : 0.0));
-        entry.set("max", Json(cpiMax));
-        summary.set("phaseWorstCpi", std::move(entry));
-    }
-    root.set("summary", std::move(summary));
-    root.set("scored", Json(static_cast<uint64_t>(okCount)));
-    root.set("failed",
-             Json(static_cast<uint64_t>(instances.size() - okCount)));
-    return root;
+    return gen::fidelityResults(std::move(list));
 }
 
 } // namespace bsyn::serve

@@ -12,10 +12,11 @@
  *    clone/profile files are byte-copied and the per-shard
  *    suite_status.json files fold into one 1/1 status — the result is
  *    byte-identical to `bsyn suite -o dir` without --shard;
- *  - fidelity reports (`bsyn fidelity --shard i/N -o f_i.json`):
- *    instances are re-sorted by global index and the per-metric
- *    summary is recomputed in batch order, so the merged results JSON
- *    is byte-identical to an unsharded `--results-only` report
+ *  - fidelity reports (`bsyn fidelity --shard i/N -o f_i.json`, written
+ *    by fidelityShardReport()): instances are re-sorted by global
+ *    index and the summary is recomputed in batch order
+ *    (gen::fidelityResults), so the merged results JSON is
+ *    byte-identical to an unsharded `--results-only` report
  *    (floating-point accumulation order and all).
  */
 
@@ -25,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "gen/fidelity.hh"
 #include "serve/shard.hh"
 #include "support/json.hh"
 
@@ -51,10 +53,20 @@ MergeResult mergeSuiteDirs(const std::string &outDir,
                            const std::vector<std::string> &shardDirs);
 
 /**
+ * The report `bsyn fidelity` writes for the batch @p sharded: the
+ * results JSON of @p report (plus its bench half unless
+ * @p resultsOnly), whose instances are first re-indexed to their
+ * positions in the full batch, and — for a proper shard — the "shard"
+ * section (spec, batch size, suiteHash) mergeFidelityReports() reads.
+ */
+Json fidelityShardReport(gen::FidelityReport &report,
+                         const ShardedBatch &sharded, bool resultsOnly);
+
+/**
  * Merge N sharded fidelity reports (parsed JSON, any order) into the
  * results-only report of the equivalent unsharded run. Each input must
- * carry the "shard" section `bsyn fidelity --shard` writes. fatal() on
- * mismatched or incomplete shards.
+ * carry the "shard" section fidelityShardReport() writes and the
+ * current schema. fatal() on mismatched or incomplete shards.
  */
 Json mergeFidelityReports(const std::vector<Json> &shardReports);
 

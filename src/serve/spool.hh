@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "support/json.hh"
+#include "synth/synthesizer.hh"
 
 namespace bsyn::serve
 {
@@ -46,10 +47,10 @@ struct Job
     /** Batch base seed; the worker applies deriveWorkloadSeed exactly
      *  like `bsyn suite`, so a job's artifacts are byte-identical to
      *  (and cache-shared with) a suite run at the same seed. */
-    uint64_t seed = 0xb5e9c0de;
+    uint64_t seed = synth::SynthesisOptions().seed;
 
     /** Synthesis instruction budget. */
-    uint64_t targetInstr = 120000;
+    uint64_t targetInstr = synth::SynthesisOptions().targetInstructions;
 
     /** fidelity jobs: include the (slow) timing-model CPI metric. */
     bool timing = false;

@@ -80,7 +80,7 @@ class Engine
   public:
     Engine(const DecodedProgram &dp, Hooks &h, const ExecLimits &lim)
         : prog(dp.program()), dcode(dp.code().data()), hooks(h),
-          limits(lim), mem(prog.globals, lim.stackBytes)
+          limits(lim), mem(prog.globals)
     {}
 
     ExecStats run();

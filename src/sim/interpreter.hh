@@ -68,7 +68,6 @@ struct ExecStats
 struct ExecLimits
 {
     uint64_t maxInstructions = 4ull << 30; ///< runaway guard
-    uint64_t stackBytes = 1u << 20;
 };
 
 /**

@@ -10,13 +10,16 @@ namespace bsyn::similarity
 namespace
 {
 
-/** Rolling-friendly hash of one k-gram. */
+constexpr size_t kKgram = 12; ///< k-gram length (tokens)
+constexpr size_t kWindow = 8; ///< winnowing window (k-grams)
+
+/** Rolling-friendly hash of the k-gram at @p start. */
 uint64_t
-hashKgram(const std::vector<uint16_t> &toks, size_t start, int k)
+hashKgram(const std::vector<uint16_t> &toks, size_t start)
 {
     uint64_t h = 0xcbf29ce484222325ULL;
-    for (int i = 0; i < k; ++i) {
-        h ^= toks[start + static_cast<size_t>(i)];
+    for (size_t i = 0; i < kKgram; ++i) {
+        h ^= toks[start + i];
         h *= 0x100000001b3ULL;
     }
     return h;
@@ -25,30 +28,28 @@ hashKgram(const std::vector<uint16_t> &toks, size_t start, int k)
 } // namespace
 
 std::set<uint64_t>
-winnowFingerprints(const std::vector<uint16_t> &tokens,
-                   const WinnowOptions &opts)
+winnowFingerprints(const std::vector<uint16_t> &tokens)
 {
     std::set<uint64_t> prints;
-    if (tokens.size() < static_cast<size_t>(opts.k))
+    if (tokens.size() < kKgram)
         return prints;
 
-    size_t num_grams = tokens.size() - static_cast<size_t>(opts.k) + 1;
+    size_t num_grams = tokens.size() - kKgram + 1;
     std::vector<uint64_t> hashes(num_grams);
     for (size_t i = 0; i < num_grams; ++i)
-        hashes[i] = hashKgram(tokens, i, opts.k);
+        hashes[i] = hashKgram(tokens, i);
 
-    size_t w = static_cast<size_t>(std::max(opts.window, 1));
-    if (num_grams <= w) {
+    if (num_grams <= kWindow) {
         prints.insert(*std::min_element(hashes.begin(), hashes.end()));
         return prints;
     }
     // Classic winnowing: record the rightmost minimal hash per window.
     size_t min_idx = 0;
-    for (size_t right = 0; right + 1 < w; ++right)
+    for (size_t right = 0; right + 1 < kWindow; ++right)
         if (hashes[right] <= hashes[min_idx])
             min_idx = right;
-    for (size_t right = w - 1; right < num_grams; ++right) {
-        size_t left = right + 1 - w;
+    for (size_t right = kWindow - 1; right < num_grams; ++right) {
+        size_t left = right + 1 - kWindow;
         if (min_idx < left) {
             min_idx = left;
             for (size_t i = left + 1; i <= right; ++i)
@@ -63,11 +64,10 @@ winnowFingerprints(const std::vector<uint16_t> &tokens,
 }
 
 double
-winnowSimilarity(const std::string &source_a, const std::string &source_b,
-                 const WinnowOptions &opts)
+winnowSimilarity(const std::string &source_a, const std::string &source_b)
 {
-    auto fa = winnowFingerprints(tokenizeC(source_a), opts);
-    auto fb = winnowFingerprints(tokenizeC(source_b), opts);
+    auto fa = winnowFingerprints(tokenizeC(source_a));
+    auto fb = winnowFingerprints(tokenizeC(source_b));
     if (fa.empty() || fb.empty())
         return source_a == source_b ? 1.0 : 0.0;
     size_t common = 0;

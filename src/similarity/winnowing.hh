@@ -17,24 +17,17 @@
 namespace bsyn::similarity
 {
 
-/** Winnowing parameters (Moss defaults are in this neighbourhood). */
-struct WinnowOptions
-{
-    int k = 12;      ///< k-gram length (tokens)
-    int window = 8;  ///< winnowing window size
-};
-
-/** Fingerprint set of one document. */
-std::set<uint64_t> winnowFingerprints(const std::vector<uint16_t> &tokens,
-                                      const WinnowOptions &opts = {});
+/** Fingerprint set of one document: the rightmost minimal hash of
+ *  each window of 8 consecutive 12-token k-grams (Moss defaults are
+ *  in this neighbourhood). */
+std::set<uint64_t> winnowFingerprints(const std::vector<uint16_t> &tokens);
 
 /**
  * Moss-style similarity of two C sources in [0, 1]: fingerprint-set
  * containment (size of the intersection over the smaller set).
  */
 double winnowSimilarity(const std::string &source_a,
-                        const std::string &source_b,
-                        const WinnowOptions &opts = {});
+                        const std::string &source_b);
 
 } // namespace bsyn::similarity
 

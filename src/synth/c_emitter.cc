@@ -12,12 +12,15 @@ namespace bsyn::synth
 namespace
 {
 
+/** Hard-branch modulo period bounds (paper: modulo 1/transition). */
+constexpr long kMinPeriod = 2;
+constexpr long kMaxPeriod = 64;
+
 class Emitter
 {
   public:
-    Emitter(std::vector<EmitPhase> ph, Rng &r, const EmitterOptions &o)
-        : phases(std::move(ph)), rng(r), opts(o),
-          streams(o.streamElems), pattern(r, streams, o.pattern)
+    Emitter(std::vector<EmitPhase> ph, Rng &r, bool use_patterns)
+        : phases(std::move(ph)), rng(r), pattern(r, streams, use_patterns)
     {}
 
     EmitResult
@@ -242,12 +245,12 @@ class Emitter
         if (p <= 0.5) {
             int period = static_cast<int>(std::clamp<long>(
                 std::lround(1.0 / std::max(p, 0.02)),
-                opts.minPeriod, opts.maxPeriod));
+                kMinPeriod, kMaxPeriod));
             open(strprintf("if ((%s %% %d) == 0)", iter.c_str(), period));
         } else {
             int period = static_cast<int>(std::clamp<long>(
                 std::lround(1.0 / std::max(1.0 - p, 0.02)),
-                opts.minPeriod, opts.maxPeriod));
+                kMinPeriod, kMaxPeriod));
             open(strprintf("if ((%s %% %d) != 0)", iter.c_str(), period));
         }
         for (const auto &child : node.body)
@@ -258,7 +261,6 @@ class Emitter
     std::vector<EmitPhase> phases;
     const profile::Sfgl *sfgl = nullptr; ///< current phase's SFGL
     Rng &rng;
-    const EmitterOptions &opts;
 
     StreamPlan streams;
     PatternCodegen pattern;
@@ -273,17 +275,17 @@ class Emitter
 
 EmitResult
 emitC(const profile::Sfgl &sfgl, const Skeleton &skeleton, Rng &rng,
-      const EmitterOptions &opts)
+      bool use_patterns)
 {
-    return Emitter({{&sfgl, &skeleton}}, rng, opts).run();
+    return Emitter({{&sfgl, &skeleton}}, rng, use_patterns).run();
 }
 
 EmitResult
 emitCPhases(const std::vector<EmitPhase> &phases, Rng &rng,
-            const EmitterOptions &opts)
+            bool use_patterns)
 {
     BSYN_ASSERT(!phases.empty(), "emitting a benchmark with no phases");
-    return Emitter(phases, rng, opts).run();
+    return Emitter(phases, rng, use_patterns).run();
 }
 
 } // namespace bsyn::synth

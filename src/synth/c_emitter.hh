@@ -26,27 +26,16 @@ struct EmitResult
     PatternStats patternStats;
 };
 
-/** Emitter knobs. */
-struct EmitterOptions
-{
-    uint64_t streamElems = 16384; ///< striding stream size (power of 2)
-    PatternOptions pattern;
-
-    /** Hard-branch modulo period bounds (paper: modulo 1/transition). */
-    int minPeriod = 2;
-    int maxPeriod = 64;
-};
-
 /**
  * Render the synthetic benchmark.
  *
  * @param sfgl the scaled-down SFGL (provides per-block code).
  * @param skeleton the structural skeleton.
  * @param rng the seeded generator (constants, obfuscation choices).
- * @param opts emission knobs.
+ * @param use_patterns see SynthesisOptions::usePatterns.
  */
 EmitResult emitC(const profile::Sfgl &sfgl, const Skeleton &skeleton,
-                 Rng &rng, const EmitterOptions &opts = {});
+                 Rng &rng, bool use_patterns = true);
 
 /** One phase's inputs to the stitched emitter. Pointees must outlive
  *  the emitC call. */
@@ -64,7 +53,7 @@ struct EmitPhase
  * one-phase call is byte-identical to emitC.
  */
 EmitResult emitCPhases(const std::vector<EmitPhase> &phases, Rng &rng,
-                       const EmitterOptions &opts = {});
+                       bool use_patterns = true);
 
 } // namespace bsyn::synth
 

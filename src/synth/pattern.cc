@@ -22,16 +22,24 @@ FunctionCtx::iteratorName(int depth) const
     return "cnt";
 }
 
-PatternCodegen::PatternCodegen(Rng &r, StreamPlan &s,
-                               const PatternOptions &o)
-    : rng(r), streams(s), opts(o)
+namespace
+{
+
+constexpr size_t kMaxOperandsPerStatement = 3; ///< Table II's longest pattern
+constexpr size_t kNumIntTemps = 4;
+constexpr size_t kNumFpTemps = 2;
+
+} // namespace
+
+PatternCodegen::PatternCodegen(Rng &r, StreamPlan &s, bool use_patterns)
+    : rng(r), streams(s), usePatterns(use_patterns)
 {}
 
 std::string
 PatternCodegen::intTemp(FunctionCtx &ctx)
 {
     if (ctx.intTemps.empty())
-        ctx.intTemps.assign(static_cast<size_t>(opts.numIntTemps), false);
+        ctx.intTemps.assign(kNumIntTemps, false);
     size_t k = rng.nextBounded(ctx.intTemps.size());
     ctx.intTemps[k] = true;
     return strprintf("t%zu", k);
@@ -41,7 +49,7 @@ std::string
 PatternCodegen::fpTemp(FunctionCtx &ctx)
 {
     if (ctx.fpTemps.empty())
-        ctx.fpTemps.assign(static_cast<size_t>(opts.numFpTemps), false);
+        ctx.fpTemps.assign(kNumFpTemps, false);
     size_t k = rng.nextBounded(ctx.fpTemps.size());
     ctx.fpTemps[k] = true;
     return strprintf("ft%zu", k);
@@ -133,7 +141,7 @@ PatternCodegen::emitBlock(const SfglBlock &block, FunctionCtx &ctx,
     pendingOps.clear();
     pendingFp = false;
 
-    if (!opts.usePatterns) {
+    if (!usePatterns) {
         // Ablation baseline: statement shapes from the aggregate class
         // histogram only (no sequence information).
         uint64_t loads = 0, stores = 0, iops = 0, fops = 0;
@@ -224,8 +232,7 @@ PatternCodegen::emitBlock(const SfglBlock &block, FunctionCtx &ctx,
             ++stats_.coveredInstrs;
             break;
         }
-        if (pendingLoads.size() >
-                static_cast<size_t>(2 * opts.maxOperandsPerStatement) ||
+        if (pendingLoads.size() > 2 * kMaxOperandsPerStatement ||
             pendingOps.size() > 6)
             flushPending(ctx, out);
     }
@@ -259,9 +266,8 @@ PatternCodegen::emitStore(const InstrDescriptor &store, FunctionCtx &ctx,
 
     // Choose operands: memory loads first (honouring pending loads and
     // the load deficit), then constants/temps/iterator.
-    size_t terms = std::min<size_t>(
-        pendingOps.size() + 1,
-        static_cast<size_t>(opts.maxOperandsPerStatement) + 1);
+    size_t terms =
+        std::min(pendingOps.size() + 1, kMaxOperandsPerStatement + 1);
     if (terms < 1)
         terms = 1;
 
@@ -379,9 +385,8 @@ PatternCodegen::flushPending(FunctionCtx &ctx,
                              std::vector<std::string> &out)
 {
     while (!pendingLoads.empty()) {
-        size_t take = std::min<size_t>(
-            pendingLoads.size(),
-            static_cast<size_t>(opts.maxOperandsPerStatement));
+        size_t take =
+            std::min(pendingLoads.size(), kMaxOperandsPerStatement);
         bool fp = false;
         for (size_t i = 0; i < take; ++i)
             fp |= pendingLoads[i].isFp;

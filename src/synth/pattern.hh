@@ -53,28 +53,16 @@ struct PatternStats
     }
 };
 
-/** Generation knobs. */
-struct PatternOptions
-{
-    int maxOperandsPerStatement = 3; ///< Table II's longest pattern
-    int numIntTemps = 4;
-    int numFpTemps = 2;
-
-    /**
-     * Ablation: when false, ignore the observed instruction sequences
-     * and draw statement shapes from the block's aggregate class
-     * histogram instead (the "statistics, not patterns" prior work the
-     * paper differentiates itself from).
-     */
-    bool usePatterns = true;
-};
-
 /** The pattern recognizer / statement generator. */
 class PatternCodegen
 {
   public:
-    PatternCodegen(Rng &rng, StreamPlan &streams,
-                   const PatternOptions &opts);
+    /** @p use_patterns false is the ablation baseline: ignore the
+     *  observed instruction sequences and draw statement shapes from
+     *  the block's aggregate class histogram instead (the "statistics,
+     *  not patterns" prior work the paper differentiates itself
+     *  from). */
+    PatternCodegen(Rng &rng, StreamPlan &streams, bool use_patterns);
 
     /**
      * Emit C statements reproducing @p block's instruction sequence.
@@ -114,7 +102,7 @@ class PatternCodegen
 
     Rng &rng;
     StreamPlan &streams;
-    PatternOptions opts;
+    bool usePatterns;
     PatternStats stats_;
 
     // Pending pattern state while scanning a block.

@@ -101,8 +101,7 @@ ProfileBuilder::build() const
             b.term = SfglTerm::Branch;
             b.takenRate = spec.takenRate;
             b.transitionRate = spec.transitionRate;
-            profile::BranchClassifier cls;
-            b.easyBranch = cls.isEasy(spec.transitionRate);
+            b.easyBranch = profile::isEasyBranch(spec.transitionRate);
             InstrDescriptor br;
             br.op = ir::Opcode::Nop;
             br.cls = isa::MClass::Branch;

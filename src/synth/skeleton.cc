@@ -18,6 +18,37 @@ using profile::SfglTerm;
 namespace
 {
 
+/** Member blocks with execution probability below this threshold are
+ *  modeled as never-executed guarded paths. */
+constexpr double kColdThreshold = 0.05;
+
+/** Probability above which a member block is emitted unconditionally. */
+constexpr double kHotThreshold = 0.95;
+
+/** Synthetic functions a skeleton is split into at least (paper:
+ *  function assignment is randomized, not mirrored from the original).
+ *  Big (consolidated) profiles split across more, one per
+ *  kBlocksPerFunction live blocks up to kMaxFunctions: recompiling the
+ *  clone is part of its job description, and a compiler's
+ *  per-function analyses scale super-linearly, so a 100k-instruction
+ *  main() would be as unusable for compiler teams as it would be
+ *  unrealistic. */
+constexpr size_t kMinFunctions = 8;
+constexpr size_t kMaxFunctions = 64;
+constexpr size_t kBlocksPerFunction = 12;
+
+size_t
+functionBudget(const Sfgl &scaled)
+{
+    size_t live_blocks = 0;
+    for (const auto &b : scaled.blocks)
+        if (b.execCount > 0)
+            ++live_blocks;
+    return std::max(kMinFunctions,
+                    std::min(kMaxFunctions,
+                             live_blocks / kBlocksPerFunction));
+}
+
 class SkeletonBuilder
 {
   public:
@@ -180,7 +211,7 @@ class SkeletonBuilder
             block_node.kind = SynNode::Kind::Block;
             block_node.sfglBlock = b;
 
-            if (prob >= opts.hotThreshold) {
+            if (prob >= kHotThreshold) {
                 body.push_back(std::move(block_node));
             } else {
                 SynNode cond = makeIf(blk, prob);
@@ -212,7 +243,7 @@ class SkeletonBuilder
             child_node.iterations = citers;
             child_node.body = buildLoopBody(child, child_entries, citers);
 
-            if (enter_prob >= opts.hotThreshold) {
+            if (enter_prob >= kHotThreshold) {
                 body.push_back(std::move(child_node));
             } else {
                 const SfglBlock &chb =
@@ -239,11 +270,11 @@ class SkeletonBuilder
             cond.easyBranch = governed.easyBranch;
             cond.transitionRate = governed.transitionRate;
         } else {
-            cond.easyBranch = prob < opts.coldThreshold ||
-                              prob > (1.0 - opts.coldThreshold);
+            cond.easyBranch = prob < kColdThreshold ||
+                              prob > (1.0 - kColdThreshold);
             cond.transitionRate = std::min(prob, 1.0 - prob) * 2.0;
         }
-        if (prob < opts.coldThreshold)
+        if (prob < kColdThreshold)
             cond.easyBranch = true;
         return cond;
     }
@@ -321,9 +352,7 @@ class SkeletonBuilder
             sk.funcs.push_back({opts.funcPrefix + "0", {}});
             return sk;
         }
-        size_t nfuncs = std::min<size_t>(
-            static_cast<size_t>(std::max(1, opts.maxFunctions)),
-            segments.size());
+        size_t nfuncs = std::min(functionBudget(sfgl), segments.size());
         // Contiguous runs keep rough phase order; the split points are
         // random, which detaches the synthetic's functions from the
         // original program's (information hiding).

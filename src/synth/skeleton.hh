@@ -65,30 +65,19 @@ struct Skeleton
 /** Skeleton-generation knobs. */
 struct SkeletonOptions
 {
-    /** Max distinct synthetic functions (paper: function assignment is
-     *  randomized, not mirrored from the original). */
-    int maxFunctions = 8;
-
     /** Synthetic function name prefix. Phase-aware synthesis stitches
      *  one skeleton per phase into a single file, so each phase gets a
      *  distinct prefix ("p0f", "p1f", ...) to keep names unique. */
     std::string funcPrefix = "f";
 
-    /** Use the loop annotation (the "L" in SFGL). When false, loops are
-     *  flattened into Repeat wrappers — the prior-work baseline the
-     *  paper compares against (ablation). */
+    /** Use the loop annotation (SynthesisOptions::useLoopInfo). */
     bool useLoopInfo = true;
-
-    /** Member blocks with execution probability below this threshold are
-     *  modeled as never-executed guarded paths. */
-    double coldThreshold = 0.05;
-
-    /** Probability above which a member block is emitted unconditionally. */
-    double hotThreshold = 0.95;
 };
 
 /**
- * Generate the skeleton from a scaled-down SFGL.
+ * Generate the skeleton from a scaled-down SFGL. The structures are
+ * split across at least 8 synthetic functions, and across one per 12
+ * live blocks (at most 64) for big, consolidated profiles.
  *
  * @param scaled the scaled-down SFGL (consumed counts are internal).
  * @param rng seeded generator (drives all random choices).

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "support/error.hh"
+#include "support/string_util.hh"
 #include "synth/scale_down.hh"
 
 namespace bsyn::synth
@@ -13,26 +13,12 @@ namespace bsyn::synth
 namespace
 {
 
-/** Skeleton knobs for one (possibly phase-scoped) scaled SFGL. Big
- *  (consolidated) profiles must split across more functions:
- *  recompiling the clone is part of its job description, and a
- *  compiler's per-function analyses scale super-linearly, so a
- *  100k-instruction main() would be as unusable for compiler teams as
- *  it would be unrealistic. */
-SkeletonOptions
-skeletonOptionsFor(const profile::Sfgl &scaled,
-                   const SynthesisOptions &opts)
-{
-    SkeletonOptions sk = opts.skeleton;
-    size_t live_blocks = 0;
-    for (const auto &b : scaled.blocks)
-        if (b.execCount > 0)
-            ++live_blocks;
-    int adaptive =
-        static_cast<int>(std::min<size_t>(64, live_blocks / 12));
-    sk.maxFunctions = std::max(sk.maxFunctions, adaptive);
-    return sk;
-}
+/** Profiles with more phases than this synthesize from the aggregate.
+ *  Each phase gets its own skeleton, so the clone's static footprint
+ *  grows with the phase count — and a profile cut into that many
+ *  phases is usually oscillation noise, not macro structure worth
+ *  duplicating code for. */
+constexpr size_t kMaxPhases = 8;
 
 SyntheticBenchmark
 generateOnce(const profile::StatisticalProfile &prof, uint64_t r,
@@ -45,15 +31,14 @@ generateOnce(const profile::StatisticalProfile &prof, uint64_t r,
     syn.reductionFactor = r;
 
     bool multi = opts.phaseAware && prof.multiPhase() &&
-                 prof.phases.size() <=
-                     static_cast<size_t>(std::max(1, opts.maxPhases));
+                 prof.phases.size() <= kMaxPhases;
     if (!multi) {
         // Aggregate path — code-identical to pre-phase synthesis, so
         // single-phase workloads keep producing byte-identical clones.
         profile::Sfgl scaled = scaleDown(prof.sfgl, r);
         Skeleton skeleton =
-            buildSkeleton(scaled, rng, skeletonOptionsFor(scaled, opts));
-        EmitResult emitted = emitC(scaled, skeleton, rng, opts.emitter);
+            buildSkeleton(scaled, rng, {"f", opts.useLoopInfo});
+        EmitResult emitted = emitC(scaled, skeleton, rng, opts.usePatterns);
         syn.cSource = std::move(emitted.source);
         syn.patternStats = emitted.patternStats;
         return syn;
@@ -71,16 +56,15 @@ generateOnce(const profile::StatisticalProfile &prof, uint64_t r,
 
     std::vector<Skeleton> skeletons;
     skeletons.reserve(scaled.size());
-    for (size_t i = 0; i < scaled.size(); ++i) {
-        SkeletonOptions sk = skeletonOptionsFor(scaled[i], opts);
-        sk.funcPrefix = "p" + std::to_string(i) + "f";
-        skeletons.push_back(buildSkeleton(scaled[i], rng, sk));
-    }
+    for (size_t i = 0; i < scaled.size(); ++i)
+        skeletons.push_back(buildSkeleton(
+            scaled[i], rng,
+            {"p" + std::to_string(i) + "f", opts.useLoopInfo}));
 
     std::vector<EmitPhase> phases(scaled.size());
     for (size_t i = 0; i < scaled.size(); ++i)
         phases[i] = {&scaled[i], &skeletons[i]};
-    EmitResult emitted = emitCPhases(phases, rng, opts.emitter);
+    EmitResult emitted = emitCPhases(phases, rng, opts.usePatterns);
 
     syn.cSource = std::move(emitted.source);
     syn.phases = static_cast<uint32_t>(prof.phases.size());
@@ -89,6 +73,17 @@ generateOnce(const profile::StatisticalProfile &prof, uint64_t r,
 }
 
 } // namespace
+
+std::string
+SynthesisOptions::fingerprint() const
+{
+    return strprintf("seed=%llu;R=%llu;target=%llu;phaseAware=%d;"
+                     "loopInfo=%d;patterns=%d",
+                     static_cast<unsigned long long>(seed),
+                     static_cast<unsigned long long>(reductionFactor),
+                     static_cast<unsigned long long>(targetInstructions),
+                     int(phaseAware), int(useLoopInfo), int(usePatterns));
+}
 
 SyntheticBenchmark
 synthesize(const profile::StatisticalProfile &prof,
@@ -101,8 +96,7 @@ synthesize(const profile::StatisticalProfile &prof,
                                              opts.targetInstructions);
     SyntheticBenchmark syn = generateOnce(prof, r, opts);
 
-    if (!measure || opts.calibrationRounds <= 0 ||
-        opts.reductionFactor != 0)
+    if (!measure || opts.reductionFactor != 0)
         return syn;
 
     // Calibration: the analytic R misses when control structure (loop
@@ -110,11 +104,11 @@ synthesize(const profile::StatisticalProfile &prof,
     // the paper retunes R empirically. Instead of a serial
     // remeasure-retune chain (whose every round depends on the one
     // before), fan one deterministic ladder of candidates — the
-    // analytic retune R*ratio plus a geometric bracket around it,
-    // wider for more calibrationRounds — and keep whichever measured
-    // count lands closest to the budget. The candidate set and the
-    // pick depend only on measurements, never on scheduling, so the
-    // result is byte-identical serial, parallel, alone or in a batch.
+    // analytic retune R*ratio plus R*ratio x1.5 and /1.5 — and keep
+    // whichever measured count lands closest to the budget. The
+    // candidate set and the pick depend only on measurements, never on
+    // scheduling, so the result is byte-identical serial, parallel,
+    // alone or in a batch.
     uint64_t measured = measure(syn.cSource);
     if (measured == 0)
         return syn;
@@ -137,12 +131,8 @@ synthesize(const profile::StatisticalProfile &prof,
         ladder.push_back(cand);
     };
     push(base);
-    double spread = 1.0;
-    for (int round = 1; round < opts.calibrationRounds; ++round) {
-        spread *= 1.5;
-        push(clampR(double(base) * spread));
-        push(clampR(double(base) / spread));
-    }
+    push(clampR(double(base) * 1.5));
+    push(clampR(double(base) / 1.5));
     if (ladder.empty())
         return syn;
 

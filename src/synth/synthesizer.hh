@@ -21,36 +21,41 @@
 namespace bsyn::synth
 {
 
-/** Full synthesis configuration. */
+/** Full synthesis configuration: the settings callers vary. The
+ *  default-constructed value is the evaluation's default (what `bsyn
+ *  synth` and `bsyn suite` use). */
 struct SynthesisOptions
 {
     uint64_t seed = 0xb5e9c0de;
 
-    /** Fixed reduction factor; 0 selects automatically from the target. */
+    /** Fixed reduction factor; 0 selects automatically from the target
+     *  and retunes it by measurement (see synthesize()). */
     uint64_t reductionFactor = 0;
 
     /** Dynamic-instruction budget for the clone (paper: ~10M; scaled
      *  down here because whole suites run through an interpreter). */
-    uint64_t targetInstructions = 200000;
-
-    /** Re-measure and retune R this many times (0 = trust the first
-     *  estimate). Requires a measurement callback, see synthesize(). */
-    int calibrationRounds = 2;
+    uint64_t targetInstructions = 120000;
 
     /** Stitch one skeleton per profile phase (v3 profiles). When off —
-     *  or when the profile is single-phase — the clone is generated
-     *  from the aggregate exactly as before. */
+     *  or when the profile is single-phase, or has more phases than
+     *  the synthesizer stitches — the clone is generated from the
+     *  aggregate. */
     bool phaseAware = true;
 
-    /** Profiles with more phases than this synthesize from the
-     *  aggregate. Each phase gets its own skeleton, so the clone's
-     *  static footprint grows with the phase count — and a profile
-     *  cut into that many phases is usually oscillation noise, not
-     *  macro structure worth duplicating code for. */
-    int maxPhases = 8;
+    /** Use the SFGL's loop annotation (the "L" in SFGL). When false,
+     *  loops are flattened into Repeat wrappers — the prior-work
+     *  baseline the paper compares against (ablation). */
+    bool useLoopInfo = true;
 
-    SkeletonOptions skeleton;
-    EmitterOptions emitter;
+    /** Reproduce the profiled instruction sequences. When false,
+     *  statement shapes come from each block's aggregate class
+     *  histogram — the "statistics, not patterns" ablation. */
+    bool usePatterns = true;
+
+    /** Every field as a stable string: the synthesis cache key. A
+     *  field added above must join it, or sessions would share clones
+     *  across settings. */
+    std::string fingerprint() const;
 };
 
 /** The synthesized clone. */
@@ -87,10 +92,10 @@ using ParallelFn =
  *
  * When the first calibration measurement lands outside the accepted
  * band, the retune does not iterate serially: it fans a deterministic
- * ladder of candidate reduction factors (the analytic retune plus a
- * geometric bracket, wider for more calibrationRounds) through
- * @p measure — concurrently when @p parallel is given — and keeps the
- * candidate whose measured count lands closest to the budget.
+ * ladder of candidate reduction factors (the analytic retune and a
+ * x1.5 bracket around it) through @p measure — concurrently when
+ * @p parallel is given — and keeps the candidate whose measured count
+ * lands closest to the budget.
  *
  * @param prof the statistical profile (possibly consolidated).
  * @param opts synthesis configuration.

@@ -34,8 +34,7 @@ class Machine
   public:
     Machine(const isa::MachineProgram &p, ExecObserver *obs,
             const ExecLimits &lim)
-        : prog(p), observer(obs), limits(lim), mem(p.globals,
-                                                   lim.stackBytes)
+        : prog(p), observer(obs), limits(lim), mem(p.globals)
     {}
 
     ExecStats

@@ -114,9 +114,9 @@ profileWorkload(const ir::Module &mod, const isa::MachineProgram &prog,
     profile::RunMeasurements run;
     sim::SliceRecorder rec(opts.sliceOptions(), &run.slices);
     ProfileObserver obs(prog, opts.profilingCache, rec, run);
-    run.exec = executeReference(prog, &obs, opts.limits);
+    run.exec = executeReference(prog, &obs);
     rec.finish(run.counters);
-    return profile::assembleProfile(mod, prog, run, opts);
+    return profile::assembleProfile(mod, prog, run);
 }
 
 profile::StatisticalProfile

@@ -3,7 +3,8 @@
  * Contract tests for the bsyn command line, run against the built
  * binary: each command accepts exactly the flags it reads, its usage
  * lists exactly those, argument errors exit 2 with the command's usage,
- * and an internal error inside a command still ends the run with exit 1.
+ * and an internal error inside a command or a hostile input file still
+ * ends the run with exit 1.
  * Almost every case fails at parse time, so the suite takes seconds.
  */
 
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "profile/statistical_profile.hh"
 #include "support/json.hh"
 #include "support/string_util.hh"
 
@@ -462,6 +464,24 @@ TEST_F(Cli, InternalErrorInACommandExitsOne)
     EXPECT_EQ(o.code, 1) << o.err;
     EXPECT_NE(o.err.find("not a number"), std::string::npos) << o.err;
     EXPECT_TRUE(std::filesystem::exists(path("trace.json")));
+}
+
+TEST_F(Cli, ProfileWithAnEdgeToAMissingBlockExitsOne)
+{
+    // The load rejects the edge and names it; the synthesizer never
+    // indexes by it (which used to end in a segfault, exit 139).
+    std::string prog = program();
+    ASSERT_EQ(run({"profile", prog, "-o", "p.json"}).code, 0);
+    auto prof = profile::StatisticalProfile::loadFrom(path("p.json"));
+    prof.sfgl.blocks[0].succs.push_back({99999, 1000000000});
+    prof.saveTo(path("bad.json"));
+    Outcome o = run({"synth", "bad.json", "-o", "clone.c"});
+    EXPECT_EQ(o.code, 1) << o.err;
+    EXPECT_NE(o.err.find("sfgl.blocks[0].succs["), std::string::npos)
+        << o.err;
+    EXPECT_NE(o.err.find("block 99999 out of range"), std::string::npos)
+        << o.err;
+    EXPECT_FALSE(std::filesystem::exists(path("clone.c")));
 }
 
 } // namespace

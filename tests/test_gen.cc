@@ -487,7 +487,6 @@ TEST(GenCalibration, ParallelLadderMatchesSerialBytes)
 
     synth::SynthesisOptions opts;
     opts.targetInstructions = 3000;
-    opts.calibrationRounds = 3;
 
     auto serial = synth::synthesize(prof, opts,
                                     &pipeline::measureInstructions);

@@ -197,7 +197,8 @@ TEST(EndToEnd, TimingModelRunsCloneOnAllMachines)
     const auto &run = batchRun("gsm/small1");
     for (const auto &machine : sim::paperMachines()) {
         auto t = pipeline::timeOnMachine(run.synthetic.cSource, "clone",
-                                         opt::OptLevel::O2, machine);
+                                         opt::OptLevel::O2, machine)
+                     .stats;
         EXPECT_GT(t.cycles, 0u) << machine.name;
         EXPECT_GT(t.instructions, 0u) << machine.name;
         EXPECT_LT(t.cpi(), 20.0) << machine.name;

@@ -204,10 +204,16 @@ TEST(PhaseSynthesis, MultiPhaseClonesAreStitchedPerPhase)
     EXPECT_EQ(agg.phases, 1u);
     EXPECT_EQ(agg.cSource.find("p1f0"), std::string::npos);
 
-    // A phase budget below the detected count also falls back.
-    synth::SynthesisOptions capped;
-    capped.maxPhases = 2;
-    auto fell = synth::synthesize(p, capped);
+    // Eight phases are still stitched; a ninth falls back too.
+    auto withPhases = [&p](size_t n) {
+        profile::StatisticalProfile q = p;
+        q.phases.clear();
+        for (size_t i = 0; i < n; ++i)
+            q.phases.push_back(p.phases[i % p.phases.size()]);
+        return q;
+    };
+    EXPECT_EQ(synth::synthesize(withPhases(8)).phases, 8u);
+    auto fell = synth::synthesize(withPhases(9));
     EXPECT_EQ(fell.phases, 1u);
     EXPECT_EQ(fell.cSource, agg.cSource);
 }

@@ -7,6 +7,7 @@
 #include "lang/frontend.hh"
 #include "oracle/profiler.hh"
 #include "profile/profiler.hh"
+#include "support/error.hh"
 
 namespace bsyn
 {
@@ -519,6 +520,119 @@ TEST(Sfgl, LoadsPreV2DescriptorsWithoutBranchFields)
     EXPECT_TRUE(g.blocks[0].code[0].readsMem);
     EXPECT_EQ(g.blocks[0].code[0].branchExecutions, 0u);
     EXPECT_DOUBLE_EQ(g.blocks[0].code[0].takenRate, 0.0);
+}
+
+/** A profile with a loop and memory accesses, for the hostile-input
+ *  cases below to mutate. */
+profile::StatisticalProfile
+loopProfile()
+{
+    auto prof = profileSource(R"(
+uint a[64];
+int main() {
+  int i;
+  uint s = 0;
+  for (i = 0; i < 64; i++) { a[i] = i; s += a[i]; }
+  printf("%u\n", s);
+  return 0;
+})");
+    EXPECT_FALSE(prof.sfgl.loops.empty());
+    EXPECT_FALSE(prof.sfgl.loops[0].blocks.empty());
+    return prof;
+}
+
+/** The FatalError loading @p prof's serialized form raises ("" when it
+ *  loads). Any other exception or a crash fails the test. */
+std::string
+loadError(const profile::StatisticalProfile &prof)
+{
+    try {
+        profile::StatisticalProfile::deserialize(prof.serialize());
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Sfgl, RejectsAnEdgeToAMissingBlock)
+{
+    auto prof = loopProfile();
+    size_t n = prof.sfgl.blocks.size();
+    size_t k = prof.sfgl.blocks[0].succs.size();
+    prof.sfgl.blocks[0].succs.push_back({99999, 1000000000});
+    EXPECT_EQ(loadError(prof),
+              "fatal: sfgl.blocks[0].succs[" + std::to_string(k) +
+                  "]: block 99999 out of range (" + std::to_string(n) +
+                  " blocks)");
+}
+
+TEST(Sfgl, RejectsALoopHeaderThatIsNoBlock)
+{
+    auto prof = loopProfile();
+    prof.sfgl.loops[0].header = 99999;
+    EXPECT_NE(loadError(prof).find(
+                  "sfgl.loops[0].header: block 99999 out of range"),
+              std::string::npos);
+}
+
+TEST(Sfgl, RejectsALoopMemberThatIsNoBlock)
+{
+    auto prof = loopProfile();
+    prof.sfgl.loops[0].blocks.back() = 99999;
+    std::string at = "sfgl.loops[0].blocks[" +
+                     std::to_string(prof.sfgl.loops[0].blocks.size() - 1) +
+                     "]: block 99999 out of range";
+    EXPECT_NE(loadError(prof).find(at), std::string::npos);
+}
+
+TEST(Sfgl, RejectsAMissClassOutsideTableI)
+{
+    auto prof = loopProfile();
+    profile::InstrDescriptor *mem = nullptr;
+    for (auto &b : prof.sfgl.blocks)
+        for (auto &d : b.code)
+            if (!mem && d.readsMem)
+                mem = &d;
+    ASSERT_NE(mem, nullptr);
+    mem->missClass = 200;
+    EXPECT_NE(loadError(prof).find("miss class 200 out of range (0..8)"),
+              std::string::npos);
+}
+
+TEST(Sfgl, RejectsMismatchedIdsAndEnumsInEveryPhase)
+{
+    auto base = loopProfile();
+    EXPECT_EQ(loadError(base), "");
+    using Mutation = void (*)(profile::Sfgl &);
+    const std::vector<std::pair<Mutation, std::string>> cases = {
+        {[](profile::Sfgl &g) { g.blocks[1].id = 0; },
+         "sfgl.blocks[1].id: 0, expected 1"},
+        {[](profile::Sfgl &g) { g.loops[0].id = 5; },
+         "sfgl.loops[0].id: 5, expected 0"},
+        {[](profile::Sfgl &g) { g.loops[0].parent = 7; },
+         "sfgl.loops[0].parent: loop 7 out of range"},
+        {[](profile::Sfgl &g) { g.loops[0].parent = 0; },
+         "sfgl.loops[0].parent: the parent chain is a cycle"},
+        {[](profile::Sfgl &g) { g.blocks[2].loopId = -2; },
+         "sfgl.blocks[2].loop: loop -2 out of range"},
+        {[](profile::Sfgl &g) { g.blocks[0].term = profile::SfglTerm(9); },
+         "sfgl.blocks[0].term: terminator 9 out of range (0..2)"},
+        {[](profile::Sfgl &g) { g.blocks[0].code[0].cls = isa::MClass(40); },
+         "sfgl.blocks[0].code[0]: instruction class 40 out of range"},
+    };
+    for (const auto &[mutate, expected] : cases) {
+        SCOPED_TRACE(expected);
+        auto agg = base;
+        mutate(agg.sfgl);
+        EXPECT_NE(loadError(agg).find(expected), std::string::npos)
+            << loadError(agg);
+        // A phase sub-profile takes the same path as the aggregate.
+        auto phased = base;
+        phased.phases.push_back(phased.phases[0]);
+        mutate(phased.phases[1].sfgl);
+        EXPECT_NE(loadError(phased).find(expected), std::string::npos)
+            << loadError(phased);
+    }
 }
 
 TEST(Sfgl, DynamicInstructionAccounting)

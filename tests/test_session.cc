@@ -147,6 +147,44 @@ TEST(Session, CacheHitMissSemantics)
     EXPECT_TRUE(st.synthCached);
 }
 
+TEST(Session, ProfileKeyCoversTheProfilingCache)
+{
+    // Two sessions share a cache directory and differ only in the
+    // cache simulated while profiling, which decides the miss class of
+    // every memory access: the second must not be served the first
+    // one's profile, but the one an uncached session computes.
+    ScratchDir dir("profcache");
+    const auto &w = workloads::findWorkload("crc32/small");
+    auto sessionWith = [](const std::string &cacheDir,
+                          const sim::CacheConfig &cache) {
+        pipeline::SessionOptions so;
+        so.cacheDir = cacheDir;
+        so.threads = 1;
+        so.profiling.profilingCache = cache;
+        return std::make_unique<pipeline::Session>(std::move(so));
+    };
+    const sim::CacheConfig roomy = profile::ProfileOptions().profilingCache;
+    const sim::CacheConfig tiny{64, 32, 1};
+
+    bool cached = true;
+    auto first = sessionWith(dir.str(), roomy)->profile(w, &cached);
+    EXPECT_FALSE(cached);
+
+    auto second = sessionWith(dir.str(), tiny);
+    auto prof = second->profile(w, &cached);
+    EXPECT_FALSE(cached);
+    EXPECT_EQ(prof.serialize(),
+              sessionWith("", tiny)->profile(w).serialize());
+    EXPECT_NE(prof.serialize(), first.serialize());
+
+    // Each setting now has an entry of its own.
+    second->profile(w, &cached);
+    EXPECT_TRUE(cached);
+    EXPECT_EQ(sessionWith(dir.str(), roomy)->profile(w, &cached).serialize(),
+              first.serialize());
+    EXPECT_TRUE(cached);
+}
+
 TEST(Session, CorruptCacheEntriesCountAsMissesAndAreRecomputed)
 {
     // A truncated entry must not fail its workload on every later run:

@@ -3,7 +3,8 @@
  *  artifact, and the core acceptance property — the union of N shard
  *  output directories, reassembled by serve::mergeSuiteDirs, is
  *  byte-identical to an unsharded run at any thread count, cold or
- *  warm. */
+ *  warm; and likewise for sharded fidelity reports merged by
+ *  serve::mergeFidelityReports. */
 
 #include <gtest/gtest.h>
 
@@ -301,6 +302,65 @@ TEST(ShardMerge, RejectsIncompleteOrMismatchedShards)
     EXPECT_THROW(serve::mergeSuiteDirs(dir.sub("m4"),
                                        {dir.sub("s1"), dir.sub("plain")}),
                  FatalError);
+}
+
+/** What `bsyn fidelity --results-only --shard spec` writes for @p all
+ *  (timing off), parsed back from its text as `bsyn merge` reads it. */
+Json
+fidelityShard(const std::vector<workloads::Workload> &all,
+              serve::ShardSpec spec, const std::string &cacheDir)
+{
+    serve::ShardedBatch sharded = serve::filterShard(all, spec);
+    pipeline::SessionOptions so;
+    so.threads = 2;
+    so.cacheDir = cacheDir;
+    pipeline::Session session(std::move(so));
+    gen::FidelityOptions fo;
+    fo.synthesis.targetInstructions = 30000;
+    fo.timing = false;
+    auto report = gen::scoreFidelity(session, sharded.workloads, fo);
+    return Json::parse(
+        serve::fidelityShardReport(report, sharded, true).dump(2));
+}
+
+TEST(ShardMerge, FidelityShardsMergeToUnshardedBytes)
+{
+    auto all = smallBatch();
+    ScratchDir dir("shard_fidelity");
+    // The unsharded report runs cold; the shards share its cache.
+    std::string full = fidelityShard(all, {1, 1}, dir.sub("cache")).dump(2);
+    EXPECT_NE(full.find("\"scored\": 6"), std::string::npos) << full;
+
+    for (unsigned count : {2u, 3u}) {
+        SCOPED_TRACE("count=" + std::to_string(count));
+        std::vector<Json> shards;
+        for (unsigned i = count; i >= 1; --i) // any input order merges
+            shards.push_back(
+                fidelityShard(all, {i, count}, dir.sub("cache")));
+        EXPECT_EQ(serve::mergeFidelityReports(shards).dump(2), full);
+    }
+}
+
+TEST(ShardMerge, FidelityMergeRejectsIncompleteOrMismatchedShards)
+{
+    auto all = smallBatch();
+    ScratchDir dir("shard_fidelity_bad");
+    Json s1 = fidelityShard(all, {1, 2}, dir.sub("cache"));
+    Json s2 = fidelityShard(all, {2, 2}, dir.sub("cache"));
+    EXPECT_NO_THROW(serve::mergeFidelityReports({s1, s2}));
+
+    // Missing shard 2 of 2.
+    EXPECT_THROW(serve::mergeFidelityReports({s1}), FatalError);
+    // The same shard twice.
+    EXPECT_THROW(serve::mergeFidelityReports({s1, s1}), FatalError);
+    // Shards of different resolved suites (different suiteHash).
+    std::vector<workloads::Workload> other(all.begin(), all.end() - 1);
+    Json s2other = fidelityShard(other, {2, 2}, dir.sub("cache"));
+    EXPECT_THROW(serve::mergeFidelityReports({s1, s2other}), FatalError);
+    // A report without a shard section (an unsharded run).
+    Json plain = fidelityShard(all, {1, 1}, dir.sub("cache"));
+    EXPECT_FALSE(plain.has("shard"));
+    EXPECT_THROW(serve::mergeFidelityReports({s1, plain}), FatalError);
 }
 
 } // namespace

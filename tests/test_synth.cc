@@ -167,7 +167,6 @@ TEST(Synthesizer, CalibrationApproachesTarget)
     auto prof = profileSource(loopWorkload);
     synth::SynthesisOptions opts;
     opts.targetInstructions = 8000;
-    opts.calibrationRounds = 3;
     auto syn = synth::synthesize(prof, opts,
                                  &pipeline::measureInstructions);
     uint64_t clone_insts = pipeline::measureInstructions(syn.cSource);
@@ -248,7 +247,7 @@ TEST(Synthesizer, StatisticalCodegenAblationStillRuns)
     auto prof = profileSource(loopWorkload);
     synth::SynthesisOptions opts;
     opts.targetInstructions = 5000;
-    opts.emitter.pattern.usePatterns = false; // prior-work baseline
+    opts.usePatterns = false; // prior-work baseline
     auto syn = synth::synthesize(prof, opts);
     auto stats = pipeline::runSource(syn.cSource, "clone",
                                      opt::OptLevel::O0, isa::targetX86());

@@ -431,7 +431,9 @@ cmdTime(const Args &args)
                 "time(us)");
     for (const auto &machine : sim::paperMachines()) {
         auto t = pipeline::timeOnMachine(
-            src, path, args.level.value_or(opt::OptLevel::O0), machine);
+                     src, path, args.level.value_or(opt::OptLevel::O0),
+                     machine)
+                     .stats;
         std::printf("%-20s %12llu %8.3f %10.2f\n", machine.name.c_str(),
                     static_cast<unsigned long long>(t.cycles), t.cpi(),
                     machine.timeNs(t.cycles) / 1000.0);
@@ -635,23 +637,9 @@ cmdFidelity(const Args &args)
     auto report = gen::scoreFidelity(session, batch, fo);
     report.generationSecs = genSecs;
 
-    // Sharded runs carry global batch indices so `bsyn merge
-    // --fidelity` can restore full-batch instance (and summary
-    // accumulation) order.
-    for (size_t k = 0; k < report.instances.size(); ++k)
-        report.instances[k].index = sharded.indices[k];
-
     // --results-only drops the bench (wall-clock) half, leaving the
     // deterministic report a merge can reproduce byte-identically.
-    Json j = args.resultsOnly ? report.resultsJson() : report.toJson();
-    if (!args.shard.isAll()) {
-        Json sh = Json::object();
-        sh.set("index", Json(static_cast<uint64_t>(args.shard.index)));
-        sh.set("count", Json(static_cast<uint64_t>(args.shard.count)));
-        sh.set("total", Json(static_cast<uint64_t>(sharded.total)));
-        sh.set("suiteHash", Json(sharded.suiteHash));
-        j.set("shard", sh);
-    }
+    Json j = serve::fidelityShardReport(report, sharded, args.resultsOnly);
     std::string text = j.dump(2) + "\n";
     if (args.output.empty())
         std::fputs(text.c_str(), stdout);
