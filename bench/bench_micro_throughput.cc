@@ -154,10 +154,10 @@ void
 BM_InstrumentedSlicedThroughput(benchmark::State &state)
 {
     // The fused mode with the v3 slice recorder armed (default slice
-    // interval and checkpoint budget) — the mode every profile runs.
-    // The recorder adds a counter snapshot every few thousand retired
-    // instructions, so this must stay within a few percent of the
-    // unsliced rate above.
+    // interval and slice budget) — the mode every profile runs. Every
+    // few thousand retired instructions the recorder reads the exec
+    // counts once and keeps the deltas of the PCs that moved, so this
+    // must stay within a few percent of the unsliced rate above.
     ir::Module m = lang::compile(kernelSrc, "k");
     auto prog = isa::lower(m, isa::targetX86());
     sim::DecodedProgram decoded(prog);
@@ -172,7 +172,7 @@ BM_InstrumentedSlicedThroughput(benchmark::State &state)
                                                     slices);
         insts += stats.instructions;
         benchmark::DoNotOptimize(stats.exitCode);
-        benchmark::DoNotOptimize(stream.snapshots.size());
+        benchmark::DoNotOptimize(stream.slices.size());
     }
     state.counters["instr/s"] = benchmark::Counter(
         double(insts), benchmark::Counter::kIsRate);
@@ -350,6 +350,33 @@ BM_ProfileWorkload(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ProfileWorkload);
+
+void
+BM_ProfileStraightLine(benchmark::State &state)
+{
+    // profileWorkload on one long block of clone-shaped statements,
+    // sliced (second argument 1) and unsliced (0); compile and lowering
+    // run once, outside the timing. A clone is a short run of a large
+    // program, so a slice stream that cost slices x static PCs showed
+    // here first. CI gates on the sliced/unsliced time ratio.
+    ir::Module m = lang::compile(
+        straightLineSource(static_cast<size_t>(state.range(0)), 1),
+        "straight_line");
+    isa::LoweringOptions lopts;
+    lopts.applyFusion = false; // as profileModule lowers
+    isa::MachineProgram prog = isa::lower(m, isa::targetX86(), lopts);
+    profile::ProfileOptions opts;
+    if (state.range(1) == 0)
+        opts.sliceBaseLength = 0;
+    for (auto _ : state) {
+        auto prof = profile::profileWorkload(m, prog, opts);
+        benchmark::DoNotOptimize(prof.dynamicInstructions);
+    }
+}
+BENCHMARK(BM_ProfileStraightLine)
+    ->Args({16384, 0})
+    ->Args({16384, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_ProfileWorkloadReference(benchmark::State &state)

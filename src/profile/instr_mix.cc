@@ -1,5 +1,8 @@
 #include "profile/instr_mix.hh"
 
+#include "profile/sfgl.hh"
+#include "support/string_util.hh"
+
 namespace bsyn::profile
 {
 
@@ -69,11 +72,13 @@ InstrMix::toJson() const
 }
 
 InstrMix
-InstrMix::fromJson(const Json &j)
+InstrMix::fromJson(const Json &j, const std::string &path)
 {
     InstrMix mix;
     for (size_t i = 0; i < numClasses && i < j.size(); ++i)
-        mix.counts[i] = static_cast<uint64_t>(j.at(i).asNumber());
+        mix.counts[i] = checkedCount(j.at(i).asNumber(), [&path, i] {
+            return strprintf("%s[%zu]", path.c_str(), i);
+        });
     return mix;
 }
 

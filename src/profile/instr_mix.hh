@@ -51,7 +51,9 @@ class InstrMix
     void merge(const InstrMix &other);
 
     Json toJson() const;
-    static InstrMix fromJson(const Json &j);
+    /** Load the mix at @p path of the profile ("mix", "phases[1].mix"),
+     *  the prefix of every field a check names. */
+    static InstrMix fromJson(const Json &j, const std::string &path);
 
   private:
     std::array<uint64_t, numClasses> counts{};

@@ -47,8 +47,7 @@ struct StaticSfgl
 /**
  * Reconstruct a run's mix, block counts and edges from its per-PC
  * counters plus the program's static structure — for the aggregate
- * counters of a fused run, or the delta between two slice-stream
- * snapshots.
+ * counters of a fused run, or the summed slice deltas of one phase.
  *
  * The reconstruction leans on two invariants of the lowered code:
  * every retired execution of a block's first PC is exactly one block
@@ -67,12 +66,13 @@ reconstructFromCounters(const isa::MachineProgram &prog,
     const sim::InstrumentedCounters &c = m.counters;
     const std::vector<int> &pc_to_block = st.pc_to_block;
     size_t n = prog.code.size();
-    std::vector<bool> starts(n, false);
-    for (size_t pc = 0; pc < n; ++pc) {
+    auto starts = [&](size_t pc) {
+        return st.block_start_pc[static_cast<size_t>(pc_to_block[pc])] ==
+               static_cast<int>(pc);
+    };
+    for (size_t pc = 0; pc < n; ++pc)
         if (c.execCount[pc])
             m.mix.add(prog.code[pc].cls(), c.execCount[pc]);
-        starts[pc] = pc == 0 || pc_to_block[pc - 1] != pc_to_block[pc];
-    }
 
     m.blockExec.resize(st.block_start_pc.size());
     for (size_t b = 0; b < st.block_start_pc.size(); ++b)
@@ -86,16 +86,16 @@ reconstructFromCounters(const isa::MachineProgram &prog,
           case MKind::CondBr: {
             const auto &b = c.branch[pc];
             size_t tgt = static_cast<size_t>(mi.target);
-            if (b.taken && starts[tgt])
+            if (b.taken && starts(tgt))
                 m.edges[{from, pc_to_block[tgt]}] += b.taken;
             uint64_t fall = b.executions - b.taken;
-            if (fall && pc + 1 < n && starts[pc + 1])
+            if (fall && pc + 1 < n && starts(pc + 1))
                 m.edges[{from, pc_to_block[pc + 1]}] += fall;
             break;
           }
           case MKind::Jmp: {
             size_t tgt = static_cast<size_t>(mi.target);
-            if (c.execCount[pc] && starts[tgt])
+            if (c.execCount[pc] && starts(tgt))
                 m.edges[{from, pc_to_block[tgt]}] += c.execCount[pc];
             break;
           }
@@ -104,7 +104,7 @@ reconstructFromCounters(const isa::MachineProgram &prog,
             break; // inter-function transfer: never an SFGL edge
           default:
             // Straight-line fall-through into the next block.
-            if (c.execCount[pc] && pc + 1 < n && starts[pc + 1] &&
+            if (c.execCount[pc] && pc + 1 < n && starts(pc + 1) &&
                 prog.code[pc + 1].funcId == mi.funcId)
                 m.edges[{from, pc_to_block[pc + 1]}] += c.execCount[pc];
             break;
@@ -112,26 +112,51 @@ reconstructFromCounters(const isa::MachineProgram &prog,
     }
 }
 
-/** Element-wise counter difference hi - lo (the events of one slice or
- *  phase). The branch last-outcome flags carry over from @p hi; they
- *  only matter while counting and are ignored downstream. */
-sim::InstrumentedCounters
-counterDelta(const sim::InstrumentedCounters &hi,
-             const sim::InstrumentedCounters *lo)
+/**
+ * What phase detection measures a slice by: its instruction mix and
+ * its memory and branch totals. These are integer sums, so the sums of
+ * any run of slices are exactly the sums over that run's events, and
+ * every feature, distance and merge decision comes out as it would on
+ * the run's dense counters.
+ */
+struct SliceSums
 {
-    sim::InstrumentedCounters d = hi;
-    if (!lo)
-        return d;
-    size_t n = d.execCount.size();
-    for (size_t pc = 0; pc < n; ++pc) {
-        d.execCount[pc] -= lo->execCount[pc];
-        d.memAccesses[pc] -= lo->memAccesses[pc];
-        d.memMisses[pc] -= lo->memMisses[pc];
-        d.branch[pc].executions -= lo->branch[pc].executions;
-        d.branch[pc].taken -= lo->branch[pc].taken;
-        d.branch[pc].transitions -= lo->branch[pc].transitions;
+    InstrMix mix;
+    uint64_t accesses = 0, misses = 0, branches = 0, taken = 0;
+    uint64_t retired = 0;
+
+    void
+    add(const SliceSums &o)
+    {
+        mix.merge(o.mix);
+        accesses += o.accesses;
+        misses += o.misses;
+        branches += o.branches;
+        taken += o.taken;
+        retired += o.retired;
     }
-    return d;
+};
+
+std::vector<SliceSums>
+sliceSums(const sim::SlicedCounters &slices,
+          const isa::MachineProgram &prog)
+{
+    std::vector<SliceSums> sums(slices.slices.size());
+    uint64_t begin = 0;
+    for (size_t i = 0; i < sums.size(); ++i) {
+        const sim::CounterSlice &slice = slices.slices[i];
+        SliceSums &s = sums[i];
+        for (const sim::PcDelta &d : slice.pcs) {
+            s.mix.add(prog.code[d.pc].cls(), d.exec);
+            s.accesses += d.memAccesses;
+            s.misses += d.memMisses;
+            s.branches += d.brExecutions;
+            s.taken += d.brTaken;
+        }
+        s.retired = slice.end - begin;
+        begin = slice.end;
+    }
+    return sums;
 }
 
 /** Behaviour vector of one slice or phase, the space the boundary
@@ -140,33 +165,21 @@ struct SliceFeatures
 {
     double load = 0, store = 0, branch = 0, fp = 0, other = 0;
     double missRate = 0, takenRate = 0;
-    uint64_t retired = 0;
 };
 
 SliceFeatures
-sliceFeatures(const sim::InstrumentedCounters &delta,
-              const std::vector<isa::MClass> &clsByPc, uint64_t retired)
+features(const SliceSums &s)
 {
-    InstrMix mix;
-    uint64_t accesses = 0, misses = 0, branches = 0, taken = 0;
-    size_t n = delta.execCount.size();
-    for (size_t pc = 0; pc < n; ++pc) {
-        if (delta.execCount[pc])
-            mix.add(clsByPc[pc], delta.execCount[pc]);
-        accesses += delta.memAccesses[pc];
-        misses += delta.memMisses[pc];
-        branches += delta.branch[pc].executions;
-        taken += delta.branch[pc].taken;
-    }
     SliceFeatures f;
-    f.load = mix.loadFraction();
-    f.store = mix.storeFraction();
-    f.branch = mix.branchFraction();
-    f.fp = mix.fpFraction();
-    f.other = mix.otherFraction();
-    f.missRate = accesses ? double(misses) / double(accesses) : 0.0;
-    f.takenRate = branches ? double(taken) / double(branches) : 0.0;
-    f.retired = retired;
+    f.load = s.mix.loadFraction();
+    f.store = s.mix.storeFraction();
+    f.branch = s.mix.branchFraction();
+    f.fp = s.mix.fpFraction();
+    f.other = s.mix.otherFraction();
+    f.missRate =
+        s.accesses ? double(s.misses) / double(s.accesses) : 0.0;
+    f.takenRate =
+        s.branches ? double(s.taken) / double(s.branches) : 0.0;
     return f;
 }
 
@@ -195,42 +208,30 @@ struct PhaseSeg
  * interval) never opens a phase of its own — its features are noise.
  */
 std::vector<PhaseSeg>
-detectPhases(const sim::SlicedCounters &slices,
-             const std::vector<isa::MClass> &clsByPc)
+detectPhases(const std::vector<SliceSums> &sums, uint64_t slice_length)
 {
-    const auto &snaps = slices.snapshots;
     std::vector<PhaseSeg> segs;
-    if (snaps.empty())
+    if (sums.empty())
         return segs;
 
-    auto segDelta = [&](size_t first, size_t last) {
-        return counterDelta(snaps[last].counters,
-                            first ? &snaps[first - 1].counters : nullptr);
-    };
-    auto segRetired = [&](size_t first, size_t last) {
-        return snaps[last].retired -
-               (first ? snaps[first - 1].retired : 0);
-    };
-    auto segFeatures = [&](const PhaseSeg &s) {
-        size_t last = s.first + s.count - 1;
-        return sliceFeatures(segDelta(s.first, last), clsByPc,
-                             segRetired(s.first, last));
+    auto segSums = [&](const PhaseSeg &s) {
+        SliceSums total;
+        for (size_t i = s.first; i < s.first + s.count; ++i)
+            total.add(sums[i]);
+        return total;
     };
 
     segs.push_back({0, 1});
-    SliceFeatures cur = sliceFeatures(segDelta(0, 0), clsByPc,
-                                      segRetired(0, 0));
-    for (size_t i = 1; i < snaps.size(); ++i) {
-        uint64_t retired = segRetired(i, i);
-        SliceFeatures f =
-            sliceFeatures(segDelta(i, i), clsByPc, retired);
-        bool runt = retired < slices.sliceLength / 8;
-        if (runt || featureDistance(cur, f) <= kPhaseThreshold) {
+    SliceFeatures cur = features(sums[0]);
+    for (size_t i = 1; i < sums.size(); ++i) {
+        bool runt = sums[i].retired < slice_length / 8;
+        if (runt || featureDistance(cur, features(sums[i])) <=
+                        kPhaseThreshold) {
             ++segs.back().count;
         } else {
             segs.push_back({i, 1});
         }
-        cur = segFeatures(segs.back());
+        cur = features(segSums(segs.back()));
     }
 
     // Undersized phases are transition artifacts: a slice straddling a
@@ -238,15 +239,16 @@ detectPhases(const sim::SlicedCounters &slices,
     // the threshold of either, and surfaces as a singleton phase.
     // Repeatedly fold the smallest undersized phase into whichever
     // neighbour is behaviourally closer.
-    uint64_t total = snaps.back().retired;
+    uint64_t total = 0;
+    for (const SliceSums &s : sums)
+        total += s.retired;
     uint64_t min_retired = static_cast<uint64_t>(
         kMinPhaseFraction * static_cast<double>(total));
     while (segs.size() > 1) {
         size_t victim = segs.size();
         uint64_t victim_retired = 0;
         for (size_t i = 0; i < segs.size(); ++i) {
-            uint64_t r = segRetired(segs[i].first,
-                                    segs[i].first + segs[i].count - 1);
+            uint64_t r = segSums(segs[i]).retired;
             if (r < min_retired &&
                 (victim == segs.size() || r < victim_retired)) {
                 victim = i;
@@ -261,11 +263,11 @@ detectPhases(const sim::SlicedCounters &slices,
         } else if (victim + 1 == segs.size()) {
             into = victim - 1;
         } else {
-            SliceFeatures v = segFeatures(segs[victim]);
-            double dprev =
-                featureDistance(segFeatures(segs[victim - 1]), v);
-            double dnext =
-                featureDistance(segFeatures(segs[victim + 1]), v);
+            SliceFeatures v = features(segSums(segs[victim]));
+            double dprev = featureDistance(
+                features(segSums(segs[victim - 1])), v);
+            double dnext = featureDistance(
+                features(segSums(segs[victim + 1])), v);
             into = dprev <= dnext ? victim - 1 : victim + 1;
         }
         size_t lo = std::min(victim, into);
@@ -446,43 +448,61 @@ assemble(const StaticSfgl &st, const isa::MachineProgram &prog,
     annotateDynamic(profile.sfgl, run, st, prog);
 
     // --- Phase detection over the slice stream. Each phase's
-    // sub-profile is reconstructed from snapshot deltas, so a
-    // measurement source only has to cut the same snapshots at the
+    // sub-profile is reconstructed from the sum of its slices' deltas,
+    // so a measurement source only has to cut the same slices at the
     // same boundaries (sim::SliceRecorder) to agree on every phase.
-    if (!slices.snapshots.empty()) {
+    if (!slices.slices.empty()) {
         profile.sliceLength = slices.sliceLength;
-        profile.sliceCount = slices.snapshots.size();
+        profile.sliceCount = slices.slices.size();
 
-        std::vector<isa::MClass> clsByPc;
-        clsByPc.reserve(prog.code.size());
-        for (const MInst &mi : prog.code)
-            clsByPc.push_back(mi.cls());
-
-        std::vector<PhaseSeg> segs = detectPhases(slices, clsByPc);
+        std::vector<PhaseSeg> segs =
+            detectPhases(sliceSums(slices, prog), slices.sliceLength);
         if (segs.size() > 1) {
+            // One dense buffer: each phase adds its slices' deltas and
+            // zeroes what it touched when it is done.
+            size_t n = prog.code.size();
+            RunMeasurements pd;
+            sim::InstrumentedCounters &c = pd.counters;
+            c.execCount.assign(n, 0);
+            c.memAccesses.assign(n, 0);
+            c.memMisses.assign(n, 0);
+            c.branch.assign(n, sim::InstrumentedCounters::Branch());
+            auto eachDelta = [&](const PhaseSeg &seg, auto &&fn) {
+                for (size_t i = seg.first; i < seg.first + seg.count; ++i)
+                    for (const sim::PcDelta &d : slices.slices[i].pcs)
+                        fn(d);
+            };
             for (const PhaseSeg &seg : segs) {
-                size_t last = seg.first + seg.count - 1;
-                const sim::InstrumentedCounters *lo =
-                    seg.first
-                        ? &slices.snapshots[seg.first - 1].counters
-                        : nullptr;
-                RunMeasurements pd;
-                pd.counters =
-                    counterDelta(slices.snapshots[last].counters, lo);
+                eachDelta(seg, [&](const sim::PcDelta &d) {
+                    c.execCount[d.pc] += d.exec;
+                    c.memAccesses[d.pc] += d.memAccesses;
+                    c.memMisses[d.pc] += d.memMisses;
+                    c.branch[d.pc].executions += d.brExecutions;
+                    c.branch[d.pc].taken += d.brTaken;
+                    c.branch[d.pc].transitions += d.brTransitions;
+                });
+                pd.mix = InstrMix();
+                pd.edges.clear();
                 reconstructFromCounters(prog, st, pd);
 
+                size_t last = seg.first + seg.count - 1;
                 PhaseProfile ph;
                 ph.dynamicInstructions =
-                    slices.snapshots[last].retired -
-                    (seg.first
-                         ? slices.snapshots[seg.first - 1].retired
-                         : 0);
+                    slices.slices[last].end -
+                    (seg.first ? slices.slices[seg.first - 1].end : 0);
                 ph.firstSlice = seg.first;
                 ph.sliceCount = seg.count;
                 ph.mix = pd.mix;
                 ph.sfgl = st.sfgl;
                 annotateDynamic(ph.sfgl, pd, st, prog);
                 profile.phases.push_back(std::move(ph));
+
+                eachDelta(seg, [&](const sim::PcDelta &d) {
+                    c.execCount[d.pc] = 0;
+                    c.memAccesses[d.pc] = 0;
+                    c.memMisses[d.pc] = 0;
+                    c.branch[d.pc] = sim::InstrumentedCounters::Branch();
+                });
             }
         }
     }

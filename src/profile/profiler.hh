@@ -60,7 +60,7 @@ struct RunMeasurements
     sim::InstrumentedCounters counters;            ///< per PC
     std::vector<uint64_t> blockExec;               ///< per SFGL block
     std::map<std::pair<int, int>, uint64_t> edges; ///< block -> block
-    sim::SlicedCounters slices; ///< no snapshots when slicing is off
+    sim::SlicedCounters slices; ///< no slices when slicing is off
 };
 
 /**

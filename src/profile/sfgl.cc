@@ -1,5 +1,7 @@
 #include "profile/sfgl.hh"
 
+#include <charconv>
+
 #include "profile/instr_mix.hh"
 #include "support/error.hh"
 #include "support/string_util.hh"
@@ -84,11 +86,13 @@ checkedEnum(int64_t v, size_t n, const char *what, const Path &path)
     return static_cast<int>(v);
 }
 
+/** The descriptor at @p path() ("sfgl.blocks[3].code[0]"). */
+template <typename Path>
 InstrDescriptor
-descriptorFromJson(const Json &j, size_t block, size_t index)
+descriptorFromJson(const Json &j, const Path &path)
 {
-    auto path = [&] {
-        return strprintf("sfgl.blocks[%zu].code[%zu]", block, index);
+    auto at = [&path](const char *field) {
+        return [&path, field] { return path() + "." + field; };
     };
     InstrDescriptor d;
     d.op = static_cast<ir::Opcode>(j.at(0).asInt());
@@ -104,14 +108,25 @@ descriptorFromJson(const Json &j, size_t block, size_t index)
     // Pre-v2 profiles (5-element descriptors) lack the per-branch
     // annotation; load them with the fields at their defaults.
     if (j.size() > 7) {
-        d.branchExecutions = static_cast<uint64_t>(j.at(5).asNumber());
-        d.takenRate = j.at(6).asNumber();
-        d.transitionRate = j.at(7).asNumber();
+        d.branchExecutions =
+            checkedCount(j.at(5).asNumber(), at("branchExecutions"));
+        d.takenRate = checkedRate(j.at(6).asNumber(), at("takenRate"));
+        d.transitionRate =
+            checkedTransitionRate(j.at(7).asNumber(), at("transitionRate"));
     }
     return d;
 }
 
 } // namespace
+
+void
+rejectProfileValue(double v, const std::string &field, const char *what)
+{
+    // v as the shortest text that reads back as it: -1, 1.5, 1e+300.
+    char text[32];
+    *std::to_chars(text, text + sizeof text - 1, v).ptr = '\0';
+    fatal("%s: %s is not %s", field.c_str(), text, what);
+}
 
 Json
 Sfgl::toJson() const
@@ -171,7 +186,7 @@ Sfgl::toJson() const
 }
 
 Sfgl
-Sfgl::fromJson(const Json &root)
+Sfgl::fromJson(const Json &root, const std::string &path)
 {
     // Profiles cross organizational boundaries, so every id is checked
     // on this one path all loads take (CLI, artifact cache, phase
@@ -183,39 +198,45 @@ Sfgl::fromJson(const Json &root)
     const size_t nloops = jloops.size();
     for (size_t i = 0; i < nblocks; ++i) {
         const Json &jb = jblocks.at(i);
-        auto at = [i](const char *field) {
-            return [i, field] {
-                return strprintf("sfgl.blocks[%zu].%s", i, field);
+        auto at = [&path, i](const char *field) {
+            return [&path, i, field] {
+                return strprintf("%s.blocks[%zu].%s", path.c_str(), i,
+                                 field);
             };
         };
         SfglBlock b;
         int64_t id = jb.get("id").asInt();
         if (id != static_cast<int64_t>(i))
-            fatal("sfgl.blocks[%zu].id: %lld, expected %zu", i,
+            fatal("%s.blocks[%zu].id: %lld, expected %zu", path.c_str(), i,
                   static_cast<long long>(id), i);
         b.id = static_cast<int>(i);
         b.funcId = static_cast<int>(jb.get("func").asInt());
         b.irBlockId = static_cast<int>(jb.get("irBlock").asInt());
-        b.execCount = static_cast<uint64_t>(jb.get("exec").asNumber());
+        b.execCount = checkedCount(jb.get("exec").asNumber(), at("exec"));
         const Json &code = jb.get("code");
         for (size_t k = 0; k < code.size(); ++k)
-            b.code.push_back(descriptorFromJson(code.at(k), i, k));
+            b.code.push_back(descriptorFromJson(code.at(k), [&path, i, k] {
+                return strprintf("%s.blocks[%zu].code[%zu]", path.c_str(),
+                                 i, k);
+            }));
         const Json &succs = jb.get("succs");
         for (size_t k = 0; k < succs.size(); ++k) {
+            auto edge = [&path, i, k] {
+                return strprintf("%s.blocks[%zu].succs[%zu]", path.c_str(),
+                                 i, k);
+            };
             SfglEdge e;
             e.to = checkedId(succs.at(k).at(0).asInt(), nblocks, "block",
-                             false, [i, k] {
-                                 return strprintf(
-                                     "sfgl.blocks[%zu].succs[%zu]", i, k);
-                             });
-            e.count =
-                static_cast<uint64_t>(succs.at(k).at(1).asNumber());
+                             false, edge);
+            e.count = checkedCount(succs.at(k).at(1).asNumber(), edge);
             b.succs.push_back(e);
         }
         b.term = static_cast<SfglTerm>(
             checkedEnum(jb.get("term").asInt(), 3, "terminator", at("term")));
-        b.takenRate = jb.get("takenRate").asNumber();
-        b.transitionRate = jb.get("transitionRate").asNumber();
+        b.takenRate =
+            checkedRate(jb.get("takenRate").asNumber(), at("takenRate"));
+        b.transitionRate = checkedTransitionRate(
+            jb.get("transitionRate").asNumber(), at("transitionRate"));
         b.easyBranch = jb.get("easy").asBool();
         b.loopId = checkedId(jb.get("loop").asInt(), nloops, "loop", true,
                              at("loop"));
@@ -223,15 +244,15 @@ Sfgl::fromJson(const Json &root)
     }
     for (size_t i = 0; i < nloops; ++i) {
         const Json &jl = jloops.at(i);
-        auto at = [i](const char *field) {
-            return [i, field] {
-                return strprintf("sfgl.loops[%zu].%s", i, field);
+        auto at = [&path, i](const char *field) {
+            return [&path, i, field] {
+                return strprintf("%s.loops[%zu].%s", path.c_str(), i, field);
             };
         };
         SfglLoop l;
         int64_t id = jl.get("id").asInt();
         if (id != static_cast<int64_t>(i))
-            fatal("sfgl.loops[%zu].id: %lld, expected %zu", i,
+            fatal("%s.loops[%zu].id: %lld, expected %zu", path.c_str(), i,
                   static_cast<long long>(id), i);
         l.id = static_cast<int>(i);
         l.header = checkedId(jl.get("header").asInt(), nblocks, "block",
@@ -239,13 +260,14 @@ Sfgl::fromJson(const Json &root)
         const Json &mem = jl.get("blocks");
         for (size_t k = 0; k < mem.size(); ++k)
             l.blocks.push_back(checkedId(
-                mem.at(k).asInt(), nblocks, "block", false, [i, k] {
-                    return strprintf("sfgl.loops[%zu].blocks[%zu]", i, k);
+                mem.at(k).asInt(), nblocks, "block", false, [&path, i, k] {
+                    return strprintf("%s.loops[%zu].blocks[%zu]",
+                                     path.c_str(), i, k);
                 }));
         l.parent = checkedId(jl.get("parent").asInt(), nloops, "loop",
                              true, at("parent"));
         l.depth = static_cast<int>(jl.get("depth").asInt());
-        l.entries = static_cast<uint64_t>(jl.get("entries").asNumber());
+        l.entries = checkedCount(jl.get("entries").asNumber(), at("entries"));
         l.avgIterations = jl.get("avgIterations").asNumber();
         g.loops.push_back(std::move(l));
     }
@@ -256,9 +278,8 @@ Sfgl::fromJson(const Json &root)
         for (int p = g.loops[i].parent; p >= 0;
              p = g.loops[static_cast<size_t>(p)].parent)
             if (++steps >= nloops)
-                fatal("sfgl.loops[%zu].parent: the parent chain is a "
-                      "cycle",
-                      i);
+                fatal("%s.loops[%zu].parent: the parent chain is a cycle",
+                      path.c_str(), i);
     }
     const Json &names = root.get("funcNames");
     for (size_t i = 0; i < names.size(); ++i)

@@ -11,6 +11,7 @@
 #ifndef BSYN_PROFILE_SFGL_HH
 #define BSYN_PROFILE_SFGL_HH
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -99,8 +100,60 @@ struct Sfgl
     uint64_t dynamicInstructions() const;
 
     Json toJson() const;
-    static Sfgl fromJson(const Json &j);
+    /** Load the graph at @p path of the profile ("sfgl",
+     *  "phases[1].sfgl"), the prefix of every field a check names. */
+    static Sfgl fromJson(const Json &j, const std::string &path);
 };
+
+/**
+ * Reports that @p v, read from the profile field @p field, is not
+ * @p what ("a count"): "dynamicInstructions: -1 is not a count".
+ * Always throws FatalError.
+ */
+[[noreturn]] void rejectProfileValue(double v, const std::string &field,
+                                     const char *what);
+
+/**
+ * @p v, read from a profile, as a count: finite, integral and in
+ * [0, 2^53), where a double holds every integer exactly. Anything else
+ * is fatal, naming the field @p path() — built only on failure, so a
+ * valid load pays for no strings.
+ */
+template <typename Path>
+uint64_t
+checkedCount(double v, const Path &path)
+{
+    if (std::isfinite(v) && v >= 0 && v < 0x1p53 && v == std::floor(v))
+        return static_cast<uint64_t>(v);
+    rejectProfileValue(v, path(), "a count");
+}
+
+/** @p v, read from a profile, as a taken rate: finite and within
+ *  [0, 1]. */
+template <typename Path>
+double
+checkedRate(double v, const Path &path)
+{
+    if (std::isfinite(v) && v >= 0 && v <= 1)
+        return v;
+    rejectProfileValue(v, path(), "a rate in [0, 1]");
+}
+
+/**
+ * @p v, read from a profile, as a transition rate: finite and within
+ * [0, 2]. BranchStats::transitionRate divides by executions - 1, and
+ * a phase's first execution of a branch can flip from the outcome the
+ * previous phase ended on, so a phase's transitions can equal its
+ * executions e and its rate reach e / (e - 1), at most 2 (e >= 2).
+ */
+template <typename Path>
+double
+checkedTransitionRate(double v, const Path &path)
+{
+    if (std::isfinite(v) && v >= 0 && v <= 2)
+        return v;
+    rejectProfileValue(v, path(), "a transition rate in [0, 2]");
+}
 
 } // namespace bsyn::profile
 

@@ -5,6 +5,21 @@
 namespace bsyn::profile
 {
 
+namespace
+{
+
+/** The count @p field of the object @p j at @p path ("" for the
+ *  profile's root). */
+uint64_t
+countField(const Json &j, const std::string &path, const char *field)
+{
+    return checkedCount(j.get(field).asNumber(), [&path, field] {
+        return path.empty() ? std::string(field) : path + "." + field;
+    });
+}
+
+} // namespace
+
 Json
 PhaseProfile::toJson() const
 {
@@ -18,15 +33,14 @@ PhaseProfile::toJson() const
 }
 
 PhaseProfile
-PhaseProfile::fromJson(const Json &j)
+PhaseProfile::fromJson(const Json &j, const std::string &path)
 {
     PhaseProfile p;
-    p.dynamicInstructions =
-        static_cast<uint64_t>(j.get("dynamicInstructions").asNumber());
-    p.firstSlice = static_cast<uint64_t>(j.get("firstSlice").asNumber());
-    p.sliceCount = static_cast<uint64_t>(j.get("sliceCount").asNumber());
-    p.mix = InstrMix::fromJson(j.get("mix"));
-    p.sfgl = Sfgl::fromJson(j.get("sfgl"));
+    p.dynamicInstructions = countField(j, path, "dynamicInstructions");
+    p.firstSlice = countField(j, path, "firstSlice");
+    p.sliceCount = countField(j, path, "sliceCount");
+    p.mix = InstrMix::fromJson(j.get("mix"), path + ".mix");
+    p.sfgl = Sfgl::fromJson(j.get("sfgl"), path + ".sfgl");
     return p;
 }
 
@@ -58,22 +72,20 @@ StatisticalProfile::fromJson(const Json &j)
 {
     StatisticalProfile p;
     p.workloadName = j.get("workload").asString();
-    p.dynamicInstructions =
-        static_cast<uint64_t>(j.get("dynamicInstructions").asNumber());
-    p.mix = InstrMix::fromJson(j.get("mix"));
-    p.sfgl = Sfgl::fromJson(j.get("sfgl"));
+    p.dynamicInstructions = countField(j, "", "dynamicInstructions");
+    p.mix = InstrMix::fromJson(j.get("mix"), "mix");
+    p.sfgl = Sfgl::fromJson(j.get("sfgl"), "sfgl");
     // v1/v2 files predate the version field and the slice stream; they
     // load as single-phase v3 profiles with identical aggregates.
     if (j.has("sliceLength"))
-        p.sliceLength =
-            static_cast<uint64_t>(j.get("sliceLength").asNumber());
+        p.sliceLength = countField(j, "", "sliceLength");
     if (j.has("sliceCount"))
-        p.sliceCount =
-            static_cast<uint64_t>(j.get("sliceCount").asNumber());
+        p.sliceCount = countField(j, "", "sliceCount");
     if (j.has("phases")) {
         const Json &jphases = j.get("phases");
         for (size_t i = 0; i < jphases.size(); ++i)
-            p.phases.push_back(PhaseProfile::fromJson(jphases.at(i)));
+            p.phases.push_back(PhaseProfile::fromJson(
+                jphases.at(i), strprintf("phases[%zu]", i)));
     }
     if (p.phases.empty()) {
         PhaseProfile only;

@@ -32,7 +32,9 @@ struct PhaseProfile
     Sfgl sfgl;
 
     Json toJson() const;
-    static PhaseProfile fromJson(const Json &j);
+    /** Load the phase at @p path of the profile ("phases[1]"), the
+     *  prefix of every field a check names. */
+    static PhaseProfile fromJson(const Json &j, const std::string &path);
 };
 
 /**

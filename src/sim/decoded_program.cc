@@ -406,7 +406,7 @@ struct ObserverHooks
 /**
  * The fused profiling mode: dense per-PC counters plus the profiling
  * cache, with Cache::access() inlined into the memory handlers, and the
- * slice recorder's checkpoint check before every retire (one compare;
+ * slice recorder's boundary check before every retire (one compare;
  * the cut itself is cold).
  */
 struct ProfileHooks
@@ -497,33 +497,104 @@ SliceRecorder::SliceRecorder(const SliceOptions &opts, SlicedCounters *out)
       maxSlices_(std::max(2u, opts.maxSlices & ~1u))
 {
     if (out_) {
-        out_->snapshots.clear();
+        out_->slices.clear();
         out_->sliceLength = sliceLen_;
         nextBoundary_ = sliceLen_;
     } else if (out) {
-        out->snapshots.clear();
+        out->slices.clear();
         out->sliceLength = 0;
     }
 }
 
 void
+SliceRecorder::append(const InstrumentedCounters &c)
+{
+    size_t n = c.execCount.size();
+    if (last_.execCount.size() != n) {
+        last_.execCount.assign(n, 0);
+        last_.memAccesses.assign(n, 0);
+        last_.memMisses.assign(n, 0);
+        last_.branch.assign(n, InstrumentedCounters::Branch());
+    }
+    auto take = [&](size_t pc) {
+        const InstrumentedCounters::Branch &b = c.branch[pc];
+        InstrumentedCounters::Branch &lb = last_.branch[pc];
+        scratch_.push_back({static_cast<uint32_t>(pc),
+                            c.execCount[pc] - last_.execCount[pc],
+                            c.memAccesses[pc] - last_.memAccesses[pc],
+                            c.memMisses[pc] - last_.memMisses[pc],
+                            b.executions - lb.executions,
+                            b.taken - lb.taken,
+                            b.transitions - lb.transitions});
+        last_.execCount[pc] = c.execCount[pc];
+        last_.memAccesses[pc] = c.memAccesses[pc];
+        last_.memMisses[pc] = c.memMisses[pc];
+        lb = b;
+    };
+
+    // A PC retired in this slice iff its exec count moved since the
+    // previous cut. Most PCs of a large program did not, so compare a
+    // chunk at a time and look closer only where something moved.
+    constexpr size_t kChunk = 64;
+    scratch_.clear();
+    for (size_t base = 0; base < n; base += kChunk) {
+        size_t stop = std::min(n, base + kChunk);
+        uint64_t moved = 0;
+        for (size_t pc = base; pc < stop; ++pc)
+            moved |= c.execCount[pc] ^ last_.execCount[pc];
+        for (size_t pc = base; moved && pc < stop; ++pc)
+            if (c.execCount[pc] != last_.execCount[pc])
+                take(pc);
+    }
+    out_->slices.push_back(
+        {retired_, std::vector<PcDelta>(scratch_.begin(), scratch_.end())});
+}
+
+void
+SliceRecorder::coalesce()
+{
+    // Slice pair (2k, 2k+1) becomes slice k: boundary j*sliceLen
+    // survives iff j is even. A PC in both halves sums its two deltas;
+    // the merge of two PC-ordered lists stays in PC order.
+    std::vector<CounterSlice> &v = out_->slices;
+    for (size_t k = 0; 2 * k + 1 < v.size(); ++k) {
+        const std::vector<PcDelta> &a = v[2 * k].pcs;
+        const std::vector<PcDelta> &b = v[2 * k + 1].pcs;
+        scratch_.clear();
+        size_t i = 0, j = 0;
+        while (i < a.size() || j < b.size()) {
+            if (j == b.size() || (i < a.size() && a[i].pc < b[j].pc)) {
+                scratch_.push_back(a[i++]);
+            } else if (i == a.size() || b[j].pc < a[i].pc) {
+                scratch_.push_back(b[j++]);
+            } else {
+                PcDelta d = a[i++];
+                const PcDelta &e = b[j++];
+                d.exec += e.exec;
+                d.memAccesses += e.memAccesses;
+                d.memMisses += e.memMisses;
+                d.brExecutions += e.brExecutions;
+                d.brTaken += e.brTaken;
+                d.brTransitions += e.brTransitions;
+                scratch_.push_back(d);
+            }
+        }
+        v[k] = {v[2 * k + 1].end,
+                std::vector<PcDelta>(scratch_.begin(), scratch_.end())};
+    }
+    v.resize(v.size() / 2);
+    sliceLen_ *= 2;
+    out_->sliceLength = sliceLen_;
+}
+
+void
 SliceRecorder::cut(const InstrumentedCounters &c)
 {
-    out_->snapshots.push_back({retired_, c});
-    if (out_->snapshots.size() >= maxSlices_) {
-        // Coalesce adjacent slice pairs: boundary k*sliceLen survives
-        // iff k is even, which is exactly every second snapshot. The
-        // interval doubles, so the stream always describes the whole
-        // run in at most maxSlices slices of a power-of-two multiple
-        // of the base length.
-        std::vector<CounterSlice> kept;
-        kept.reserve(out_->snapshots.size() / 2);
-        for (size_t i = 1; i < out_->snapshots.size(); i += 2)
-            kept.push_back(std::move(out_->snapshots[i]));
-        out_->snapshots = std::move(kept);
-        sliceLen_ *= 2;
-        out_->sliceLength = sliceLen_;
-    }
+    append(c);
+    // The stream always describes the whole run in at most maxSlices
+    // slices of a power-of-two multiple of the base length.
+    if (out_->slices.size() >= maxSlices_)
+        coalesce();
     nextBoundary_ = retired_ + sliceLen_;
 }
 
@@ -532,9 +603,8 @@ SliceRecorder::finish(const InstrumentedCounters &c)
 {
     if (!out_)
         return;
-    if (out_->snapshots.empty() ||
-        out_->snapshots.back().retired < retired_)
-        out_->snapshots.push_back({retired_, c});
+    if (out_->slices.empty() || out_->slices.back().end < retired_)
+        append(c);
     out_->sliceLength = sliceLen_;
 }
 

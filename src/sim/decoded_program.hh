@@ -258,12 +258,12 @@ ExecStats executeInstrumented(const DecodedProgram &prog,
                               const ExecLimits &limits = {});
 
 /**
- * Slice checkpointing parameters. The counter arrays are checkpointed
- * every baseSliceLength retired instructions; once maxSlices
- * checkpoints accumulate, adjacent slice pairs coalesce (every second
- * boundary is kept and the interval doubles), so the final interval is
- * baseSliceLength * 2^k — derived from the run's total retired count
- * with no wall-clock input, hence fully deterministic.
+ * Slice parameters. The run is cut into a slice every baseSliceLength
+ * retired instructions; once maxSlices slices accumulate, adjacent
+ * slice pairs coalesce (every second boundary is kept and the interval
+ * doubles), so the final interval is baseSliceLength * 2^k — derived
+ * from the run's total retired count with no wall-clock input, hence
+ * fully deterministic.
  */
 struct SliceOptions
 {
@@ -271,36 +271,60 @@ struct SliceOptions
     uint32_t maxSlices = 64; ///< rounded down to an even count, >= 2
 };
 
-/** One cumulative counter checkpoint at a retired-instruction boundary
- *  (the per-slice deltas are differences of consecutive snapshots). */
+/** One PC's events within one slice (the branch fields stay 0 at a PC
+ *  that is no CondBr). */
+struct PcDelta
+{
+    uint32_t pc = 0;
+    uint64_t exec = 0;
+    uint64_t memAccesses = 0;
+    uint64_t memMisses = 0;
+    uint64_t brExecutions = 0;
+    uint64_t brTaken = 0;
+    uint64_t brTransitions = 0;
+};
+
+/**
+ * One slice of a run, stored sparsely: one PcDelta for each PC that
+ * retired in the slice, in PC order — the shape of SimPoint's
+ * per-interval basic block vectors. An instruction's memory and branch
+ * events follow its retire and precede the next one, and a cut lands
+ * between instructions, so a PC's events always fall in a slice where
+ * it retires: the entries hold every event of the slice.
+ */
 struct CounterSlice
 {
-    uint64_t retired = 0; ///< instructions retired at the boundary
-    InstrumentedCounters counters;
+    uint64_t end = 0; ///< instructions retired at the slice's end boundary
+    std::vector<PcDelta> pcs;
 };
 
 /** The slice stream of one instrumented run. */
 struct SlicedCounters
 {
-    /** Final (possibly doubled) checkpoint interval. */
+    /** Final (possibly doubled) slice interval. */
     uint64_t sliceLength = 0;
 
-    /** Cumulative snapshots in boundary order; the last one is taken
-     *  at end of run, so its counters equal the aggregate counters and
-     *  its retired count is the run's total. */
-    std::vector<CounterSlice> snapshots;
+    /** Slices in boundary order. The last one ends at end of run, so
+     *  its boundary is the run's retired count and the deltas of all
+     *  slices sum to the aggregate counters. */
+    std::vector<CounterSlice> slices;
 };
 
 /**
- * The slice checkpointing policy, shared verbatim by the instrumented
- * engine hooks and the reference profiler in tests/oracle so both
- * produce the same boundaries on the same retired-instruction stream
- * (the differential-profile suite depends on it). beforeRetire() must
- * be called before each instruction's counters are bumped: a boundary
- * cut therefore lands between instructions, never splitting one
+ * The slice policy, shared verbatim by the instrumented engine hooks
+ * and the reference profiler in tests/oracle so both produce the same
+ * boundaries on the same retired-instruction stream (the
+ * differential-profile suite depends on it). beforeRetire() must be
+ * called before each instruction's counters are bumped: a boundary cut
+ * therefore lands between instructions, never splitting one
  * instruction's retire/memory/branch events across two slices. With
  * slicing off (no output, or a zero base length) the next boundary is
  * unreachable, so the check is one never-taken compare.
+ *
+ * A cut costs one read of the exec counts: the recorder keeps the
+ * counters as they were at the previous cut, and a PC whose exec count
+ * moved since is a PC the slice touched. The stream grows with the PCs
+ * each slice touched, not with the program's size.
  */
 class SliceRecorder
 {
@@ -315,23 +339,32 @@ class SliceRecorder
         ++retired_;
     }
 
-    /** Record the end-of-run snapshot (cumulative == aggregate). */
+    /** Record the final slice, which ends at end of run. */
     void finish(const InstrumentedCounters &c);
 
   private:
     void cut(const InstrumentedCounters &c); // cold: out of line
+    void append(const InstrumentedCounters &c);
+    void coalesce();
 
     SlicedCounters *out_;
     uint64_t retired_ = 0;
     uint64_t sliceLen_ = 0;
     uint64_t nextBoundary_ = ~0ull;
     uint32_t maxSlices_ = 0;
+
+    /** The counters at the previous cut (the slice stream's running
+     *  total). */
+    InstrumentedCounters last_;
+
+    /** Reused while a slice is built, so each slice allocates once. */
+    std::vector<PcDelta> scratch_;
 };
 
 /**
  * executeInstrumented() plus the deterministic slice stream: identical
  * semantics, ExecStats and aggregate counters, with @p slices filled
- * with cumulative checkpoints under @p slice_opts.
+ * with the per-slice deltas under @p slice_opts.
  */
 ExecStats executeInstrumentedSliced(const DecodedProgram &prog,
                                     const CacheConfig &profiling_cache,

@@ -484,4 +484,22 @@ TEST_F(Cli, ProfileWithAnEdgeToAMissingBlockExitsOne)
     EXPECT_FALSE(std::filesystem::exists(path("clone.c")));
 }
 
+TEST_F(Cli, ProfileWithANegativeCountExitsOneNamingTheField)
+{
+    // The count used to wrap to 2^64 - 1 and end in the synthesizer's
+    // reduction-factor assertion, a panic; the load now rejects it.
+    std::string prog = program();
+    ASSERT_EQ(run({"profile", prog, "-o", "p.json"}).code, 0);
+    Json prof = Json::parse(readFile(path("p.json")));
+    prof.set("dynamicInstructions", Json(-1));
+    writeFile(path("bad.json"), prof.dump(2));
+    Outcome o = run({"synth", "bad.json", "-o", "clone.c"});
+    EXPECT_EQ(o.code, 1) << o.err;
+    EXPECT_NE(o.err.find("dynamicInstructions: -1 is not a count"),
+              std::string::npos)
+        << o.err;
+    EXPECT_EQ(o.err.find("panic:"), std::string::npos) << o.err;
+    EXPECT_FALSE(std::filesystem::exists(path("clone.c")));
+}
+
 } // namespace

@@ -2,16 +2,21 @@
  *  compatibility with checked-in v1 and v2 profile JSON (both load as
  *  single-phase v3 with identical aggregates), v3 serialization shape
  *  and round-trips, phase detection matching the phase_shift
- *  generator's configured phase count, and phase-aware synthesis
+ *  generator's configured phase count, phase-aware synthesis
  *  (single-phase clones byte-identical to the aggregate-only path,
- *  multi-phase clones stitched from per-phase skeletons). */
+ *  multi-phase clones stitched from per-phase skeletons), and the
+ *  invariants of the sparse slice stream the phases are built from. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "differential_suite.hh"
 #include "gen/registry.hh"
 #include "lang/frontend.hh"
 #include "profile/profiler.hh"
 #include "profile/statistical_profile.hh"
+#include "straight_line.hh"
 #include "synth/synthesizer.hh"
 #include "workloads/workload.hh"
 
@@ -160,6 +165,47 @@ TEST(PhaseProfile, MultiPhaseRoundTripsByteIdentically)
     EXPECT_EQ(sum, p.dynamicInstructions);
 }
 
+TEST(PhaseProfile, TransitionRatesAboveOneRoundTrip)
+{
+    // alt's branch alternates without a break: each loop ends on an
+    // odd i and the next starts on an even one. A phase after the
+    // first therefore also counts the flip from the outcome the phase
+    // before it ended on, so its transitions equal its executions e
+    // and its rate is e / (e - 1) > 1. Such profiles must load.
+    auto p = profileSource(R"(
+uint a[4096];
+int alt(int i, int s) {
+  if (i & 1) return s + i;
+  return s ^ i;
+}
+int main() {
+  int i;
+  int r;
+  int s = 0;
+  for (i = 0; i < 4096; i++) a[i] = i * 7;
+  for (i = 0; i < 12000; i++) s = alt(i, s * 3 + 1);
+  for (r = 0; r < 3; r++)
+    for (i = 0; i < 4096; i++) s = alt(i, s + a[(i * 67) % 4096]);
+  printf("%d\n", s);
+  return 0;
+}
+)",
+                           "alternating");
+    ASSERT_TRUE(p.multiPhase());
+    double maxRate = 0;
+    for (size_t k = 1; k < p.phases.size(); ++k)
+        for (const auto &b : p.phases[k].sfgl.blocks) {
+            maxRate = std::max(maxRate, b.transitionRate);
+            for (const auto &d : b.code)
+                maxRate = std::max(maxRate, d.transitionRate);
+        }
+    EXPECT_GT(maxRate, 1.0);
+    EXPECT_LE(maxRate, 2.0);
+
+    auto back = profile::StatisticalProfile::deserialize(p.serialize());
+    EXPECT_EQ(back.serialize(), p.serialize());
+}
+
 TEST(PhaseDetection, MatchesTheGeneratorsConfiguredCount)
 {
     // phase_shift's knob IS the ground truth: the instance executes
@@ -216,6 +262,123 @@ TEST(PhaseSynthesis, MultiPhaseClonesAreStitchedPerPhase)
     auto fell = synth::synthesize(withPhases(9));
     EXPECT_EQ(fell.phases, 1u);
     EXPECT_EQ(fell.cSource, agg.cSource);
+}
+
+/** The slice options each stream check runs under: the profiler's
+ *  default, and a tiny base with a budget of 4, so that coalescing runs
+ *  many times. */
+std::vector<sim::SliceOptions>
+sliceOptionCases()
+{
+    sim::SliceOptions tiny;
+    tiny.baseSliceLength = 16;
+    tiny.maxSlices = 4;
+    return {sim::SliceOptions(), tiny};
+}
+
+/** What one sliced run's stream holds. */
+struct StreamShape
+{
+    size_t slices = 0;
+    size_t entries = 0;
+    uint64_t retired = 0;
+};
+
+/**
+ * Run @p prog sliced under @p so and check the stream: each slice's
+ * entries are strictly increasing in PC with a nonzero exec, the
+ * boundaries increase and the last is the run's retired count, and the
+ * deltas summed over all slices equal the aggregate counters, field by
+ * field.
+ */
+void
+checkSliceStream(const isa::MachineProgram &prog, const sim::SliceOptions &so,
+                 StreamShape &shape)
+{
+    sim::DecodedProgram decoded(prog);
+    sim::InstrumentedCounters agg;
+    sim::SlicedCounters stream;
+    sim::ExecStats stats = sim::executeInstrumentedSliced(
+        decoded, profile::ProfileOptions().profilingCache, agg, stream, so);
+
+    size_t n = prog.size();
+    sim::InstrumentedCounters sum;
+    sum.execCount.assign(n, 0);
+    sum.memAccesses.assign(n, 0);
+    sum.memMisses.assign(n, 0);
+    sum.branch.assign(n, sim::InstrumentedCounters::Branch());
+    uint64_t boundary = 0;
+    shape = StreamShape();
+    for (size_t s = 0; s < stream.slices.size(); ++s) {
+        const sim::CounterSlice &slice = stream.slices[s];
+        EXPECT_GT(slice.end, boundary) << "slice " << s;
+        boundary = slice.end;
+        for (size_t k = 0; k < slice.pcs.size(); ++k) {
+            const sim::PcDelta &d = slice.pcs[k];
+            ASSERT_LT(d.pc, n) << "slice " << s;
+            if (k) {
+                ASSERT_LT(slice.pcs[k - 1].pc, d.pc) << "slice " << s;
+            }
+            EXPECT_NE(d.exec, 0u) << "slice " << s << " pc " << d.pc;
+            sum.execCount[d.pc] += d.exec;
+            sum.memAccesses[d.pc] += d.memAccesses;
+            sum.memMisses[d.pc] += d.memMisses;
+            sum.branch[d.pc].executions += d.brExecutions;
+            sum.branch[d.pc].taken += d.brTaken;
+            sum.branch[d.pc].transitions += d.brTransitions;
+        }
+        shape.entries += slice.pcs.size();
+    }
+    shape.slices = stream.slices.size();
+    shape.retired = stats.instructions;
+    EXPECT_EQ(boundary, stats.instructions);
+    for (size_t pc = 0; pc < n; ++pc) {
+        const auto &b = sum.branch[pc];
+        const auto &a = agg.branch[pc];
+        ASSERT_TRUE(sum.execCount[pc] == agg.execCount[pc] &&
+                    sum.memAccesses[pc] == agg.memAccesses[pc] &&
+                    sum.memMisses[pc] == agg.memMisses[pc] &&
+                    b.executions == a.executions && b.taken == a.taken &&
+                    b.transitions == a.transitions)
+            << "the slice deltas at pc " << pc
+            << " do not sum to the aggregate counters";
+    }
+    EXPECT_LE(shape.entries, shape.retired);
+}
+
+class SliceStream : public ::testing::TestWithParam<SuiteLevel>
+{};
+
+TEST_P(SliceStream, DeltasAreSortedSparseAndSumToTheAggregate)
+{
+    const auto &[idx, level] = GetParam();
+    isa::MachineProgram prog = lowerAt(representativeSuite()[idx], level);
+    for (const sim::SliceOptions &so : sliceOptionCases()) {
+        SCOPED_TRACE("base " + std::to_string(so.baseSliceLength));
+        StreamShape shape;
+        checkSliceStream(prog, so, shape);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Suite, SliceStream, suiteLevelGrid(),
+                         suiteLevelName);
+
+TEST(SliceStreamStraightLine, EveryPcLandsInOneSlice)
+{
+    // One long block: each PC retires once, so a slice holds only the
+    // PCs it ran, and coalescing never duplicates an entry.
+    ir::Module m = lang::compile(straightLineSource(16384, 1),
+                                 "straight_line");
+    isa::LoweringOptions lopts;
+    lopts.applyFusion = false;
+    isa::MachineProgram prog = isa::lower(m, isa::targetX86(), lopts);
+    for (const sim::SliceOptions &so : sliceOptionCases()) {
+        SCOPED_TRACE("base " + std::to_string(so.baseSliceLength));
+        StreamShape shape;
+        checkSliceStream(prog, so, shape);
+        EXPECT_GT(shape.slices, 1u);
+        EXPECT_LE(shape.entries, prog.size() + shape.slices);
+    }
 }
 
 } // namespace

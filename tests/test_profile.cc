@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "lang/frontend.hh"
 #include "oracle/profiler.hh"
 #include "profile/profiler.hh"
@@ -513,7 +515,7 @@ TEST(Sfgl, LoadsPreV2DescriptorsWithoutBranchFields)
     root.set("loops", Json::array());
     root.set("funcNames", Json::array());
 
-    auto g = profile::Sfgl::fromJson(root);
+    auto g = profile::Sfgl::fromJson(root, "sfgl");
     ASSERT_EQ(g.blocks.size(), 1u);
     ASSERT_EQ(g.blocks[0].code.size(), 1u);
     EXPECT_EQ(g.blocks[0].code[0].missClass, 3);
@@ -633,6 +635,165 @@ TEST(Sfgl, RejectsMismatchedIdsAndEnumsInEveryPhase)
         EXPECT_NE(loadError(phased).find(expected), std::string::npos)
             << loadError(phased);
     }
+}
+
+/** @p prof serialized, with the number after the first @p key replaced
+ *  by the text @p value (a JSON edit the profile object cannot
+ *  express, such as a negative count). */
+std::string
+withFirst(const profile::StatisticalProfile &prof, const std::string &key,
+          const std::string &value)
+{
+    std::string text = prof.serialize();
+    std::string tag = "\"" + key + "\":";
+    size_t from = text.find(tag);
+    EXPECT_NE(from, std::string::npos) << key;
+    from += tag.size();
+    size_t to = text.find_first_of(",]}", from);
+    return text.replace(from, to - from, value);
+}
+
+/** The FatalError loading the profile @p text raises ("" when it
+ *  loads). */
+std::string
+textLoadError(const std::string &text)
+{
+    try {
+        profile::StatisticalProfile::deserialize(text);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ProfileCounts, RejectsANegativeDynamicInstructionCount)
+{
+    // It used to wrap to 2^64 - 1 and reach the reduction-factor
+    // assertion in the synthesizer.
+    EXPECT_EQ(textLoadError(withFirst(loopProfile(), "dynamicInstructions",
+                                      "-1")),
+              "fatal: dynamicInstructions: -1 is not a count");
+}
+
+TEST(ProfileCounts, RejectsADynamicInstructionCountBeyondExactDoubles)
+{
+    // 1e300 does not fit a uint64_t: the cast was undefined.
+    EXPECT_EQ(textLoadError(withFirst(loopProfile(), "dynamicInstructions",
+                                      "1e300")),
+              "fatal: dynamicInstructions: 1e+300 is not a count");
+}
+
+TEST(ProfileCounts, RejectsANegativeBlockCount)
+{
+    // It used to wrap and send calibration into the instruction guard.
+    EXPECT_EQ(textLoadError(withFirst(loopProfile(), "exec", "-5")),
+              "fatal: sfgl.blocks[0].exec: -5 is not a count");
+}
+
+TEST(ProfileCounts, RejectsAFractionalBlockCount)
+{
+    EXPECT_EQ(textLoadError(withFirst(loopProfile(), "exec", "1.5")),
+              "fatal: sfgl.blocks[0].exec: 1.5 is not a count");
+}
+
+TEST(ProfileCounts, RejectsATakenRateAboveOne)
+{
+    EXPECT_EQ(textLoadError(withFirst(loopProfile(), "takenRate", "7.0")),
+              "fatal: sfgl.blocks[0].takenRate: 7 is not a rate in [0, 1]");
+}
+
+TEST(ProfileCounts, RejectsOutOfRangeCountsAndRatesInEveryField)
+{
+    auto base = loopProfile();
+    ASSERT_FALSE(base.sfgl.blocks[0].succs.empty());
+    // The first executed CondBr descriptor carries per-branch rates.
+    size_t bb = 0, bi = 0;
+    bool found = false;
+    for (size_t b = 0; b < base.sfgl.blocks.size() && !found; ++b)
+        for (size_t i = 0; i < base.sfgl.blocks[b].code.size(); ++i)
+            if (base.sfgl.blocks[b].code[i].branchExecutions) {
+                bb = b, bi = i, found = true;
+                break;
+            }
+    ASSERT_TRUE(found);
+    std::string at =
+        "sfgl.blocks[" + std::to_string(bb) + "].code[" +
+        std::to_string(bi) + "].";
+    const uint64_t huge = uint64_t(1) << 60; // beyond exact doubles
+    using Mutation = std::function<void(profile::StatisticalProfile &)>;
+    const std::vector<std::pair<Mutation, std::string>> cases = {
+        {[&](auto &p) { p.sfgl.blocks[0].succs[0].count = huge; },
+         "sfgl.blocks[0].succs[0]: 1152921504606846976 is not a count"},
+        {[&](auto &p) { p.sfgl.loops[0].entries = huge; },
+         "sfgl.loops[0].entries: 1152921504606846976 is not a count"},
+        {[&](auto &p) { p.sfgl.blocks[bb].code[bi].branchExecutions = huge; },
+         at + "branchExecutions: 1152921504606846976 is not a count"},
+        {[&](auto &p) { p.sfgl.blocks[bb].code[bi].takenRate = 1.5; },
+         at + "takenRate: 1.5 is not a rate in [0, 1]"},
+        {[&](auto &p) { p.sfgl.blocks[bb].code[bi].transitionRate = -0.5; },
+         at + "transitionRate: -0.5 is not a transition rate in [0, 2]"},
+        {[&](auto &p) { p.sfgl.blocks[0].transitionRate = 2.5; },
+         "sfgl.blocks[0].transitionRate: 2.5 is not a transition rate in "
+         "[0, 2]"},
+        {[&](auto &p) { p.mix.add(isa::MClass::Load, huge); },
+         "mix[" + std::to_string(static_cast<size_t>(isa::MClass::Load)) +
+             "]: "},
+        {[&](auto &p) { p.sliceLength = huge; },
+         "sliceLength: 1152921504606846976 is not a count"},
+        {[&](auto &p) { p.sliceCount = huge; },
+         "sliceCount: 1152921504606846976 is not a count"},
+    };
+    for (const auto &[mutate, expected] : cases) {
+        SCOPED_TRACE(expected);
+        auto prof = base;
+        mutate(prof);
+        EXPECT_NE(loadError(prof).find(expected), std::string::npos)
+            << loadError(prof);
+    }
+
+    // A phase's own counts, its mix and its SFGL, each named with the
+    // phase's prefix.
+    using PhaseMutation = std::function<void(profile::PhaseProfile &)>;
+    const std::vector<std::pair<PhaseMutation, std::string>> phaseCases = {
+        {[&](auto &ph) { ph.dynamicInstructions = huge; },
+         "fatal: phases[1].dynamicInstructions: 1152921504606846976 is not "
+         "a count"},
+        {[&](auto &ph) { ph.firstSlice = huge; },
+         "fatal: phases[1].firstSlice: 1152921504606846976 is not a count"},
+        {[&](auto &ph) { ph.sliceCount = huge; },
+         "fatal: phases[1].sliceCount: 1152921504606846976 is not a count"},
+        {[&](auto &ph) { ph.mix.add(isa::MClass::Load, huge); },
+         "fatal: phases[1].mix[" +
+             std::to_string(static_cast<size_t>(isa::MClass::Load)) + "]: "},
+        {[&](auto &ph) { ph.sfgl.blocks[0].execCount = huge; },
+         "fatal: phases[1].sfgl.blocks[0].exec: 1152921504606846976 is not "
+         "a count"},
+        {[&](auto &ph) { ph.sfgl.blocks[bb].code[bi].transitionRate = 3; },
+         "fatal: phases[1]." + at + "transitionRate: 3 is not a transition "
+         "rate in [0, 2]"},
+    };
+    for (const auto &[mutate, expected] : phaseCases) {
+        SCOPED_TRACE(expected);
+        auto phased = base;
+        phased.phases.push_back(phased.phases[0]);
+        mutate(phased.phases[1]);
+        EXPECT_EQ(loadError(phased).rfind(expected, 0), 0u)
+            << loadError(phased);
+    }
+}
+
+TEST(ProfileCounts, AcceptsTransitionRatesUpToTwo)
+{
+    // A phase's transitions can include the flip from the previous
+    // phase's last outcome, so its rate can reach 2 (see
+    // checkedTransitionRate); the profiler writes such rates.
+    auto prof = loopProfile();
+    prof.sfgl.blocks[0].transitionRate = 2;
+    for (auto &b : prof.sfgl.blocks)
+        for (auto &d : b.code)
+            if (d.branchExecutions)
+                d.transitionRate = 1.5;
+    EXPECT_EQ(loadError(prof), "");
 }
 
 TEST(Sfgl, DynamicInstructionAccounting)
