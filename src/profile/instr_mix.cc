@@ -62,23 +62,28 @@ InstrMix::merge(const InstrMix &other)
         counts[i] += other.counts[i];
 }
 
-Json
-InstrMix::toJson() const
+void
+InstrMix::writeJson(std::string &out) const
 {
-    Json arr = Json::array();
-    for (uint64_t c : counts)
-        arr.push(Json(c));
-    return arr;
+    formatArray(out, counts, [](std::string &o, uint64_t c) {
+        formatNumber(o, double(c));
+    });
 }
 
 InstrMix
-InstrMix::fromJson(const Json &j, const std::string &path)
+InstrMix::readJson(JsonCursor &cur)
 {
     InstrMix mix;
-    for (size_t i = 0; i < numClasses && i < j.size(); ++i)
-        mix.counts[i] = checkedCount(j.at(i).asNumber(), [&path, i] {
-            return strprintf("%s[%zu]", path.c_str(), i);
-        });
+    size_t n = 0;
+    cur.enterArray();
+    while (cur.nextElement()) {
+        uint64_t c = checkedCount(cur.number(), [&cur] { return cur.path(); });
+        if (n < numClasses)
+            mix.counts[n] = c;
+        ++n;
+    }
+    if (n != numClasses)
+        cur.fail(strprintf("expected %zu counts, not %zu", numClasses, n));
     return mix;
 }
 

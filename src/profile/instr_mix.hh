@@ -50,10 +50,11 @@ class InstrMix
 
     void merge(const InstrMix &other);
 
-    Json toJson() const;
-    /** Load the mix at @p path of the profile ("mix", "phases[1].mix"),
-     *  the prefix of every field a check names. */
-    static InstrMix fromJson(const Json &j, const std::string &path);
+    /** Append the mix as a JSON array of numClasses counts. */
+    void writeJson(std::string &out) const;
+    /** Read the mix at @p cur ("mix", "phases[1].mix"): exactly
+     *  numClasses counts. */
+    static InstrMix readJson(JsonCursor &cur);
 
   private:
     std::array<uint64_t, numClasses> counts{};

@@ -1,6 +1,7 @@
 #include "profile/sfgl.hh"
 
 #include <charconv>
+#include <climits>
 
 #include "profile/instr_mix.hh"
 #include "support/error.hh"
@@ -40,39 +41,22 @@ Sfgl::dynamicInstructions() const
 namespace
 {
 
-Json
-descriptorToJson(const InstrDescriptor &d)
-{
-    Json j = Json::array();
-    j.push(Json(static_cast<int>(d.op)));
-    j.push(Json(static_cast<int>(d.type)));
-    j.push(Json(static_cast<int>(d.cls)));
-    int flags = (d.readsMem ? 1 : 0) | (d.writesMem ? 2 : 0) |
-                (d.isControl ? 4 : 0);
-    j.push(Json(flags));
-    j.push(Json(d.missClass));
-    j.push(Json(d.branchExecutions));
-    j.push(Json(d.takenRate));
-    j.push(Json(d.transitionRate));
-    return j;
-}
-
 /**
- * @p v as an index into @p n entries named @p what ("block", "loop");
- * -1 passes too when @p allow_none. Anything else is fatal, naming the
- * field @p path() — built only on failure, so a valid load pays for no
- * strings.
+ * Fails naming the field @p path() unless @p v indexes one of @p n
+ * entries named @p what ("block", "loop"); -1 passes too when
+ * @p allow_none. The path is built only on failure, so a valid load
+ * pays for no strings.
  */
 template <typename Path>
-int
-checkedId(int64_t v, size_t n, const char *what, bool allow_none,
-          const Path &path)
+void
+checkId(int v, size_t n, const char *what, bool allow_none,
+        const Path &path)
 {
     if ((allow_none && v == -1) ||
-        (v >= 0 && static_cast<uint64_t>(v) < n))
-        return static_cast<int>(v);
-    fatal("%s: %s %lld out of range (%zu %ss)", path().c_str(), what,
-          static_cast<long long>(v), n, what);
+        (v >= 0 && static_cast<size_t>(v) < n))
+        return;
+    fatal("%s: %s %d out of range (%zu %ss)", path().c_str(), what, v, n,
+          what);
 }
 
 /** @p v as a value of an enumeration with @p n members. */
@@ -86,35 +70,190 @@ checkedEnum(int64_t v, size_t n, const char *what, const Path &path)
     return static_cast<int>(v);
 }
 
-/** The descriptor at @p path() ("sfgl.blocks[3].code[0]"). */
-template <typename Path>
-InstrDescriptor
-descriptorFromJson(const Json &j, const Path &path)
+/** @p v, an integral field (an id, an enum, flags), as an integer. */
+int64_t
+integer(double v)
 {
-    auto at = [&path](const char *field) {
-        return [&path, field] { return path() + "." + field; };
+    return static_cast<int64_t>(std::llround(v));
+}
+
+/**
+ * @p v, read at @p cur, as a reference to a block or loop (@p what).
+ * Whether it is in range is checked by checkId once the graph is read,
+ * as loops follow the blocks that refer to them.
+ */
+int
+idField(double v, const char *what, const JsonCursor &cur)
+{
+    int64_t id = integer(v);
+    if (id < INT_MIN || id > INT_MAX)
+        cur.fail(strprintf("%s %lld out of range", what,
+                           static_cast<long long>(id)));
+    return static_cast<int>(id);
+}
+
+/** The id of entry @p i of a table, which must be @p i. */
+void
+checkIndex(double v, size_t i, const JsonCursor &cur)
+{
+    int64_t id = integer(v);
+    if (id != static_cast<int64_t>(i))
+        cur.fail(strprintf("%lld, expected %zu", static_cast<long long>(id),
+                           i));
+}
+
+/** The numbers of the array at @p cur, into @p v: fails unless there
+ *  are @p n or @p alt. @return how many there were. */
+size_t
+readNumbers(JsonCursor &cur, double *v, size_t n, size_t alt)
+{
+    size_t count = 0;
+    cur.enterArray();
+    while (cur.nextElement()) {
+        double x = cur.number();
+        if (count < n)
+            v[count] = x;
+        ++count;
+    }
+    if (count != n && count != alt)
+        cur.fail(alt == n ? strprintf("expected %zu numbers, not %zu", n,
+                                      count)
+                          : strprintf("expected %zu or %zu numbers, not %zu",
+                                      alt, n, count));
+    return count;
+}
+
+/** The descriptor at @p cur ("sfgl.blocks[3].code[0]"): [op, type,
+ *  class, flags, missClass], then since v2 [branchExecutions,
+ *  takenRate, transitionRate]. */
+InstrDescriptor
+readDescriptor(JsonCursor &cur)
+{
+    double v[8];
+    size_t n = readNumbers(cur, v, 8, 5);
+    auto here = [&cur] { return cur.path(); };
+    auto at = [&cur](const char *field) {
+        return [&cur, field] { return cur.path() + "." + field; };
     };
     InstrDescriptor d;
-    d.op = static_cast<ir::Opcode>(j.at(0).asInt());
-    d.type = static_cast<ir::Type>(j.at(1).asInt());
+    d.op = static_cast<ir::Opcode>(integer(v[0]));
+    d.type = static_cast<ir::Type>(integer(v[1]));
     d.cls = static_cast<isa::MClass>(checkedEnum(
-        j.at(2).asInt(), InstrMix::numClasses, "instruction class", path));
-    int flags = static_cast<int>(j.at(3).asInt());
+        integer(v[2]), InstrMix::numClasses, "instruction class", here));
+    int flags = static_cast<int>(integer(v[3]));
     d.readsMem = flags & 1;
     d.writesMem = flags & 2;
     d.isControl = flags & 4;
-    d.missClass = checkedEnum(j.at(4).asInt(), numMissClasses,
-                              "miss class", path);
-    // Pre-v2 profiles (5-element descriptors) lack the per-branch
-    // annotation; load them with the fields at their defaults.
-    if (j.size() > 7) {
-        d.branchExecutions =
-            checkedCount(j.at(5).asNumber(), at("branchExecutions"));
-        d.takenRate = checkedRate(j.at(6).asNumber(), at("takenRate"));
-        d.transitionRate =
-            checkedTransitionRate(j.at(7).asNumber(), at("transitionRate"));
+    d.missClass =
+        checkedEnum(integer(v[4]), numMissClasses, "miss class", here);
+    // Pre-v2 profiles lack the per-branch annotation; load them with
+    // the fields at their defaults.
+    if (n == 8) {
+        d.branchExecutions = checkedCount(v[5], at("branchExecutions"));
+        d.takenRate = checkedRate(v[6], at("takenRate"));
+        d.transitionRate = checkedTransitionRate(v[7], at("transitionRate"));
     }
     return d;
+}
+
+/** The edge at @p cur ("sfgl.blocks[3].succs[1]"): [to, count]. */
+SfglEdge
+readEdge(JsonCursor &cur)
+{
+    double v[2];
+    readNumbers(cur, v, 2, 2);
+    SfglEdge e;
+    e.to = idField(v[0], "block", cur);
+    e.count = checkedCount(v[1], [&cur] { return cur.path(); });
+    return e;
+}
+
+constexpr std::string_view kBlockFields[] = {
+    "id",   "func",      "irBlock",        "exec", "code", "succs",
+    "term", "takenRate", "transitionRate", "easy", "loop"};
+
+/** Block @p i of the graph, at @p cur. */
+SfglBlock
+readBlock(JsonCursor &cur, size_t i)
+{
+    auto here = [&cur] { return cur.path(); };
+    SfglBlock b;
+    b.id = static_cast<int>(i);
+    cur.readObject(kBlockFields, 0, [&](size_t field) {
+        switch (field) {
+          case 0: checkIndex(cur.number(), i, cur); break;
+          case 1: b.funcId = static_cast<int>(integer(cur.number())); break;
+          case 2:
+            b.irBlockId = static_cast<int>(integer(cur.number()));
+            break;
+          case 3: b.execCount = checkedCount(cur.number(), here); break;
+          case 4:
+            cur.enterArray();
+            while (cur.nextElement())
+                b.code.push_back(readDescriptor(cur));
+            break;
+          case 5:
+            cur.enterArray();
+            while (cur.nextElement())
+                b.succs.push_back(readEdge(cur));
+            break;
+          case 6:
+            b.term = static_cast<SfglTerm>(
+                checkedEnum(integer(cur.number()), 3, "terminator", here));
+            break;
+          case 7: b.takenRate = checkedRate(cur.number(), here); break;
+          case 8:
+            b.transitionRate = checkedTransitionRate(cur.number(), here);
+            break;
+          case 9: b.easyBranch = cur.boolean(); break;
+          case 10: b.loopId = idField(cur.number(), "loop", cur); break;
+        }
+    });
+    return b;
+}
+
+constexpr std::string_view kLoopFields[] = {
+    "id", "header", "blocks", "parent", "depth", "entries", "avgIterations"};
+
+/** Loop @p i of the graph, at @p cur. */
+SfglLoop
+readLoop(JsonCursor &cur, size_t i)
+{
+    auto here = [&cur] { return cur.path(); };
+    SfglLoop l;
+    l.id = static_cast<int>(i);
+    cur.readObject(kLoopFields, 0, [&](size_t field) {
+        switch (field) {
+          case 0: checkIndex(cur.number(), i, cur); break;
+          case 1: l.header = idField(cur.number(), "block", cur); break;
+          case 2:
+            cur.enterArray();
+            while (cur.nextElement())
+                l.blocks.push_back(idField(cur.number(), "block", cur));
+            break;
+          case 3: l.parent = idField(cur.number(), "loop", cur); break;
+          case 4: l.depth = static_cast<int>(integer(cur.number())); break;
+          case 5: l.entries = checkedCount(cur.number(), here); break;
+          case 6: l.avgIterations = cur.number(); break;
+        }
+    });
+    return l;
+}
+
+void
+writeDescriptor(std::string &out, const InstrDescriptor &d)
+{
+    int flags = (d.readsMem ? 1 : 0) | (d.writesMem ? 2 : 0) |
+                (d.isControl ? 4 : 0);
+    const double v[] = {double(d.op),
+                        double(d.type),
+                        double(d.cls),
+                        double(flags),
+                        double(d.missClass),
+                        double(d.branchExecutions),
+                        d.takenRate,
+                        d.transitionRate};
+    formatArray(out, v, [](std::string &o, double x) { formatNumber(o, x); });
 }
 
 } // namespace
@@ -128,148 +267,104 @@ rejectProfileValue(double v, const std::string &field, const char *what)
     fatal("%s: %s is not %s", field.c_str(), text, what);
 }
 
-Json
-Sfgl::toJson() const
+void
+Sfgl::writeJson(std::string &out) const
 {
-    Json root = Json::object();
-
-    Json jblocks = Json::array();
-    for (const auto &b : blocks) {
-        Json jb = Json::object();
-        jb.set("id", Json(b.id));
-        jb.set("func", Json(b.funcId));
-        jb.set("irBlock", Json(b.irBlockId));
-        jb.set("exec", Json(b.execCount));
-        Json code = Json::array();
-        for (const auto &d : b.code)
-            code.push(descriptorToJson(d));
-        jb.set("code", std::move(code));
-        Json succs = Json::array();
-        for (const auto &e : b.succs) {
-            Json je = Json::array();
-            je.push(Json(e.to));
-            je.push(Json(e.count));
-            succs.push(std::move(je));
-        }
-        jb.set("succs", std::move(succs));
-        jb.set("term", Json(static_cast<int>(b.term)));
-        jb.set("takenRate", Json(b.takenRate));
-        jb.set("transitionRate", Json(b.transitionRate));
-        jb.set("easy", Json(b.easyBranch));
-        jb.set("loop", Json(b.loopId));
-        jblocks.push(std::move(jb));
-    }
-    root.set("blocks", std::move(jblocks));
-
-    Json jloops = Json::array();
-    for (const auto &l : loops) {
-        Json jl = Json::object();
-        jl.set("id", Json(l.id));
-        jl.set("header", Json(l.header));
-        Json mem = Json::array();
-        for (int b : l.blocks)
-            mem.push(Json(b));
-        jl.set("blocks", std::move(mem));
-        jl.set("parent", Json(l.parent));
-        jl.set("depth", Json(l.depth));
-        jl.set("entries", Json(l.entries));
-        jl.set("avgIterations", Json(l.avgIterations));
-        jloops.push(std::move(jl));
-    }
-    root.set("loops", std::move(jloops));
-
-    Json names = Json::array();
-    for (const auto &n : funcNames)
-        names.push(Json(n));
-    root.set("funcNames", std::move(names));
-    return root;
+    // Members in a fixed order: the bytes are the profile's identity
+    // (artifact-cache keys hash them).
+    auto num = [&out](const char *key, double v) {
+        out += key;
+        formatNumber(out, v);
+    };
+    out += "{\"blocks\":";
+    formatArray(out, blocks, [&](std::string &, const SfglBlock &b) {
+        num("{\"id\":", b.id);
+        num(",\"func\":", b.funcId);
+        num(",\"irBlock\":", b.irBlockId);
+        num(",\"exec\":", double(b.execCount));
+        out += ",\"code\":";
+        formatArray(out, b.code, writeDescriptor);
+        out += ",\"succs\":";
+        formatArray(out, b.succs, [&](std::string &, const SfglEdge &e) {
+            num("[", e.to);
+            num(",", double(e.count));
+            out += ']';
+        });
+        num(",\"term\":", static_cast<int>(b.term));
+        num(",\"takenRate\":", b.takenRate);
+        num(",\"transitionRate\":", b.transitionRate);
+        out += b.easyBranch ? ",\"easy\":true" : ",\"easy\":false";
+        num(",\"loop\":", b.loopId);
+        out += '}';
+    });
+    out += ",\"loops\":";
+    formatArray(out, loops, [&](std::string &, const SfglLoop &l) {
+        num("{\"id\":", l.id);
+        num(",\"header\":", l.header);
+        out += ",\"blocks\":";
+        formatArray(out, l.blocks,
+                    [](std::string &o, int b) { formatNumber(o, b); });
+        num(",\"parent\":", l.parent);
+        num(",\"depth\":", l.depth);
+        num(",\"entries\":", double(l.entries));
+        num(",\"avgIterations\":", l.avgIterations);
+        out += '}';
+    });
+    out += ",\"funcNames\":";
+    formatArray(out, funcNames, [](std::string &o, const std::string &n) {
+        escapeString(o, n);
+    });
+    out += '}';
 }
 
 Sfgl
-Sfgl::fromJson(const Json &root, const std::string &path)
+Sfgl::readJson(JsonCursor &cur)
 {
-    // Profiles cross organizational boundaries, so every id is checked
-    // on this one path all loads take (CLI, artifact cache, phase
-    // sub-profiles); the synthesizer then indexes by them unchecked.
+    static constexpr std::string_view fields[] = {"blocks", "loops",
+                                                  "funcNames"};
     Sfgl g;
-    const Json &jblocks = root.get("blocks");
-    const Json &jloops = root.get("loops");
-    const size_t nblocks = jblocks.size();
-    const size_t nloops = jloops.size();
-    for (size_t i = 0; i < nblocks; ++i) {
-        const Json &jb = jblocks.at(i);
-        auto at = [&path, i](const char *field) {
-            return [&path, i, field] {
-                return strprintf("%s.blocks[%zu].%s", path.c_str(), i,
-                                 field);
-            };
-        };
-        SfglBlock b;
-        int64_t id = jb.get("id").asInt();
-        if (id != static_cast<int64_t>(i))
-            fatal("%s.blocks[%zu].id: %lld, expected %zu", path.c_str(), i,
-                  static_cast<long long>(id), i);
-        b.id = static_cast<int>(i);
-        b.funcId = static_cast<int>(jb.get("func").asInt());
-        b.irBlockId = static_cast<int>(jb.get("irBlock").asInt());
-        b.execCount = checkedCount(jb.get("exec").asNumber(), at("exec"));
-        const Json &code = jb.get("code");
-        for (size_t k = 0; k < code.size(); ++k)
-            b.code.push_back(descriptorFromJson(code.at(k), [&path, i, k] {
-                return strprintf("%s.blocks[%zu].code[%zu]", path.c_str(),
-                                 i, k);
-            }));
-        const Json &succs = jb.get("succs");
-        for (size_t k = 0; k < succs.size(); ++k) {
-            auto edge = [&path, i, k] {
-                return strprintf("%s.blocks[%zu].succs[%zu]", path.c_str(),
-                                 i, k);
-            };
-            SfglEdge e;
-            e.to = checkedId(succs.at(k).at(0).asInt(), nblocks, "block",
-                             false, edge);
-            e.count = checkedCount(succs.at(k).at(1).asNumber(), edge);
-            b.succs.push_back(e);
+    cur.readObject(fields, 0, [&](size_t field) {
+        cur.enterArray();
+        while (cur.nextElement()) {
+            if (field == 0)
+                g.blocks.push_back(readBlock(cur, g.blocks.size()));
+            else if (field == 1)
+                g.loops.push_back(readLoop(cur, g.loops.size()));
+            else
+                g.funcNames.push_back(cur.string());
         }
-        b.term = static_cast<SfglTerm>(
-            checkedEnum(jb.get("term").asInt(), 3, "terminator", at("term")));
-        b.takenRate =
-            checkedRate(jb.get("takenRate").asNumber(), at("takenRate"));
-        b.transitionRate = checkedTransitionRate(
-            jb.get("transitionRate").asNumber(), at("transitionRate"));
-        b.easyBranch = jb.get("easy").asBool();
-        b.loopId = checkedId(jb.get("loop").asInt(), nloops, "loop", true,
-                             at("loop"));
-        g.blocks.push_back(std::move(b));
+    });
+
+    // Profiles cross organizational boundaries, so every reference is
+    // checked on this one path all loads take (CLI, artifact cache,
+    // phase sub-profiles); the synthesizer then indexes by them
+    // unchecked. The cursor now names the graph ("phases[1].sfgl").
+    const size_t nblocks = g.blocks.size();
+    const size_t nloops = g.loops.size();
+    auto at = [&cur](const char *table, size_t i, const char *field) {
+        return [&cur, table, i, field] {
+            return strprintf("%s.%s[%zu].%s", cur.path().c_str(), table, i,
+                             field);
+        };
+    };
+    for (size_t i = 0; i < nblocks; ++i) {
+        const SfglBlock &b = g.blocks[i];
+        for (size_t k = 0; k < b.succs.size(); ++k)
+            checkId(b.succs[k].to, nblocks, "block", false, [&cur, i, k] {
+                return strprintf("%s.blocks[%zu].succs[%zu]",
+                                 cur.path().c_str(), i, k);
+            });
+        checkId(b.loopId, nloops, "loop", true, at("blocks", i, "loop"));
     }
     for (size_t i = 0; i < nloops; ++i) {
-        const Json &jl = jloops.at(i);
-        auto at = [&path, i](const char *field) {
-            return [&path, i, field] {
-                return strprintf("%s.loops[%zu].%s", path.c_str(), i, field);
-            };
-        };
-        SfglLoop l;
-        int64_t id = jl.get("id").asInt();
-        if (id != static_cast<int64_t>(i))
-            fatal("%s.loops[%zu].id: %lld, expected %zu", path.c_str(), i,
-                  static_cast<long long>(id), i);
-        l.id = static_cast<int>(i);
-        l.header = checkedId(jl.get("header").asInt(), nblocks, "block",
-                             false, at("header"));
-        const Json &mem = jl.get("blocks");
-        for (size_t k = 0; k < mem.size(); ++k)
-            l.blocks.push_back(checkedId(
-                mem.at(k).asInt(), nblocks, "block", false, [&path, i, k] {
-                    return strprintf("%s.loops[%zu].blocks[%zu]",
-                                     path.c_str(), i, k);
-                }));
-        l.parent = checkedId(jl.get("parent").asInt(), nloops, "loop",
-                             true, at("parent"));
-        l.depth = static_cast<int>(jl.get("depth").asInt());
-        l.entries = checkedCount(jl.get("entries").asNumber(), at("entries"));
-        l.avgIterations = jl.get("avgIterations").asNumber();
-        g.loops.push_back(std::move(l));
+        const SfglLoop &l = g.loops[i];
+        checkId(l.header, nblocks, "block", false, at("loops", i, "header"));
+        for (size_t k = 0; k < l.blocks.size(); ++k)
+            checkId(l.blocks[k], nblocks, "block", false, [&cur, i, k] {
+                return strprintf("%s.loops[%zu].blocks[%zu]",
+                                 cur.path().c_str(), i, k);
+            });
+        checkId(l.parent, nloops, "loop", true, at("loops", i, "parent"));
     }
     // The synthesizer walks parent chains to the outermost loop, so
     // each must end: an acyclic chain visits fewer than nloops loops.
@@ -279,11 +374,8 @@ Sfgl::fromJson(const Json &root, const std::string &path)
              p = g.loops[static_cast<size_t>(p)].parent)
             if (++steps >= nloops)
                 fatal("%s.loops[%zu].parent: the parent chain is a cycle",
-                      path.c_str(), i);
+                      cur.path().c_str(), i);
     }
-    const Json &names = root.get("funcNames");
-    for (size_t i = 0; i < names.size(); ++i)
-        g.funcNames.push_back(names.at(i).asString());
     return g;
 }
 

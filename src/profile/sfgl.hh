@@ -99,10 +99,12 @@ struct Sfgl
     /** Total dynamic instructions including control. */
     uint64_t dynamicInstructions() const;
 
-    Json toJson() const;
-    /** Load the graph at @p path of the profile ("sfgl",
-     *  "phases[1].sfgl"), the prefix of every field a check names. */
-    static Sfgl fromJson(const Json &j, const std::string &path);
+    /** Append the graph as JSON: blocks, loops, funcNames. */
+    void writeJson(std::string &out) const;
+    /** Read the graph at @p cur ("sfgl", "phases[1].sfgl"). Every id,
+     *  enum, count and rate is checked, and a failure names the field's
+     *  JSON path. */
+    static Sfgl readJson(JsonCursor &cur);
 };
 
 /**

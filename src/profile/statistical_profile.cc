@@ -8,85 +8,106 @@ namespace bsyn::profile
 namespace
 {
 
-/** The count @p field of the object @p j at @p path ("" for the
- *  profile's root). */
-uint64_t
-countField(const Json &j, const std::string &path, const char *field)
+void
+writePhase(std::string &out, const PhaseProfile &p)
 {
-    return checkedCount(j.get(field).asNumber(), [&path, field] {
-        return path.empty() ? std::string(field) : path + "." + field;
+    out += "{\"dynamicInstructions\":";
+    formatNumber(out, double(p.dynamicInstructions));
+    out += ",\"firstSlice\":";
+    formatNumber(out, double(p.firstSlice));
+    out += ",\"sliceCount\":";
+    formatNumber(out, double(p.sliceCount));
+    out += ",\"mix\":";
+    p.mix.writeJson(out);
+    out += ",\"sfgl\":";
+    p.sfgl.writeJson(out);
+    out += '}';
+}
+
+/** The phase at @p cur ("phases[1]"). */
+PhaseProfile
+readPhase(JsonCursor &cur)
+{
+    static constexpr std::string_view fields[] = {
+        "dynamicInstructions", "firstSlice", "sliceCount", "mix", "sfgl"};
+    auto here = [&cur] { return cur.path(); };
+    PhaseProfile p;
+    cur.readObject(fields, 0, [&](size_t field) {
+        switch (field) {
+          case 0:
+            p.dynamicInstructions = checkedCount(cur.number(), here);
+            break;
+          case 1: p.firstSlice = checkedCount(cur.number(), here); break;
+          case 2: p.sliceCount = checkedCount(cur.number(), here); break;
+          case 3: p.mix = InstrMix::readJson(cur); break;
+          case 4: p.sfgl = Sfgl::readJson(cur); break;
+        }
     });
+    return p;
 }
 
 } // namespace
 
-Json
-PhaseProfile::toJson() const
+std::string
+StatisticalProfile::serialize() const
 {
-    Json root = Json::object();
-    root.set("dynamicInstructions", Json(dynamicInstructions));
-    root.set("firstSlice", Json(firstSlice));
-    root.set("sliceCount", Json(sliceCount));
-    root.set("mix", mix.toJson());
-    root.set("sfgl", sfgl.toJson());
-    return root;
-}
-
-PhaseProfile
-PhaseProfile::fromJson(const Json &j, const std::string &path)
-{
-    PhaseProfile p;
-    p.dynamicInstructions = countField(j, path, "dynamicInstructions");
-    p.firstSlice = countField(j, path, "firstSlice");
-    p.sliceCount = countField(j, path, "sliceCount");
-    p.mix = InstrMix::fromJson(j.get("mix"), path + ".mix");
-    p.sfgl = Sfgl::fromJson(j.get("sfgl"), path + ".sfgl");
-    return p;
-}
-
-Json
-StatisticalProfile::toJson() const
-{
-    Json root = Json::object();
-    root.set("version", Json(3));
-    root.set("workload", Json(workloadName));
-    root.set("dynamicInstructions", Json(dynamicInstructions));
-    root.set("mix", mix.toJson());
-    root.set("sfgl", sfgl.toJson());
-    root.set("sliceLength", Json(sliceLength));
-    root.set("sliceCount", Json(sliceCount));
+    std::string out = "{\"version\":3,\"workload\":";
+    escapeString(out, workloadName);
+    out += ",\"dynamicInstructions\":";
+    formatNumber(out, double(dynamicInstructions));
+    out += ",\"mix\":";
+    mix.writeJson(out);
+    out += ",\"sfgl\":";
+    sfgl.writeJson(out);
+    out += ",\"sliceLength\":";
+    formatNumber(out, double(sliceLength));
+    out += ",\"sliceCount\":";
+    formatNumber(out, double(sliceCount));
     // A single phase always mirrors the aggregate, so only genuinely
     // multi-phase profiles pay for the phase list on disk; loading
-    // materializes the implicit phase back (see fromJson).
+    // materializes the implicit phase back (see deserialize).
     if (phases.size() > 1) {
-        Json jphases = Json::array();
-        for (const auto &p : phases)
-            jphases.push(p.toJson());
-        root.set("phases", std::move(jphases));
+        out += ",\"phases\":";
+        formatArray(out, phases, writePhase);
     }
-    return root;
+    out += '}';
+    return out;
 }
 
 StatisticalProfile
-StatisticalProfile::fromJson(const Json &j)
+StatisticalProfile::deserialize(const std::string &text)
 {
-    StatisticalProfile p;
-    p.workloadName = j.get("workload").asString();
-    p.dynamicInstructions = countField(j, "", "dynamicInstructions");
-    p.mix = InstrMix::fromJson(j.get("mix"), "mix");
-    p.sfgl = Sfgl::fromJson(j.get("sfgl"), "sfgl");
+    static constexpr std::string_view fields[] = {
+        "version",     "workload",   "dynamicInstructions", "mix", "sfgl",
+        "sliceLength", "sliceCount", "phases"};
     // v1/v2 files predate the version field and the slice stream; they
     // load as single-phase v3 profiles with identical aggregates.
-    if (j.has("sliceLength"))
-        p.sliceLength = countField(j, "", "sliceLength");
-    if (j.has("sliceCount"))
-        p.sliceCount = countField(j, "", "sliceCount");
-    if (j.has("phases")) {
-        const Json &jphases = j.get("phases");
-        for (size_t i = 0; i < jphases.size(); ++i)
-            p.phases.push_back(PhaseProfile::fromJson(
-                jphases.at(i), strprintf("phases[%zu]", i)));
-    }
+    constexpr uint32_t optional = 1u << 0 | 1u << 5 | 1u << 6 | 1u << 7;
+    JsonCursor cur(text);
+    auto here = [&cur] { return cur.path(); };
+    StatisticalProfile p;
+    cur.readObject(fields, optional, [&](size_t field) {
+        switch (field) {
+          case 0:
+            if (double v = cur.number(); v != 3)
+                cur.fail(strprintf("%g, expected 3", v));
+            break;
+          case 1: p.workloadName = cur.string(); break;
+          case 2:
+            p.dynamicInstructions = checkedCount(cur.number(), here);
+            break;
+          case 3: p.mix = InstrMix::readJson(cur); break;
+          case 4: p.sfgl = Sfgl::readJson(cur); break;
+          case 5: p.sliceLength = checkedCount(cur.number(), here); break;
+          case 6: p.sliceCount = checkedCount(cur.number(), here); break;
+          case 7:
+            cur.enterArray();
+            while (cur.nextElement())
+                p.phases.push_back(readPhase(cur));
+            break;
+        }
+    });
+    cur.finish();
     if (p.phases.empty()) {
         PhaseProfile only;
         only.dynamicInstructions = p.dynamicInstructions;
@@ -97,18 +118,6 @@ StatisticalProfile::fromJson(const Json &j)
         p.phases.push_back(std::move(only));
     }
     return p;
-}
-
-std::string
-StatisticalProfile::serialize() const
-{
-    return toJson().dump(-1);
-}
-
-StatisticalProfile
-StatisticalProfile::deserialize(const std::string &text)
-{
-    return fromJson(Json::parse(text));
 }
 
 void

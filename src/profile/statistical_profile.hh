@@ -30,11 +30,6 @@ struct PhaseProfile
     uint64_t sliceCount = 1; ///< slices merged into the phase
     InstrMix mix;
     Sfgl sfgl;
-
-    Json toJson() const;
-    /** Load the phase at @p path of the profile ("phases[1]"), the
-     *  prefix of every field a check names. */
-    static PhaseProfile fromJson(const Json &j, const std::string &path);
 };
 
 /**
@@ -67,10 +62,9 @@ struct StatisticalProfile
     size_t phaseCount() const { return phases.empty() ? 1 : phases.size(); }
     bool multiPhase() const { return phases.size() > 1; }
 
-    Json toJson() const;
-    static StatisticalProfile fromJson(const Json &j);
-
-    /** Serialize to / parse from a JSON document string. */
+    /** Serialize to / parse from a JSON document string, with no
+     *  intermediate Json value. Parsing checks every field and fails
+     *  with a FatalError that names its JSON path. */
     std::string serialize() const;
     static StatisticalProfile deserialize(const std::string &text);
 

@@ -1,9 +1,12 @@
 /**
  * @file
- * A minimal JSON value model, writer and parser. Used to serialize
- * statistical profiles to disk so that profiling and synthesis can run as
- * separate steps (the "benchmark distribution" arrow in the paper's
- * Figure 1: the profile, not the source, crosses organizational walls).
+ * A minimal JSON value model, one streaming tokenizer and one writer
+ * for numbers and strings. Statistical profiles are read and written
+ * straight from and to their structs with the tokenizer and the
+ * writer; the value model serves the small documents (jobs, statuses,
+ * reports). The profile is what crosses organizational walls in the
+ * paper's Figure 1, so profiling and synthesis can run as separate
+ * steps.
  */
 
 #ifndef BSYN_SUPPORT_JSON_HH
@@ -13,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace bsyn
@@ -82,6 +86,156 @@ class Json
     // Keep insertion order for reproducible round-trips.
     std::vector<std::pair<std::string, Json>> fields;
 };
+
+/**
+ * Append @p d as every bsyn document writes a number: as an integer
+ * when it is integral and below 9e15 in magnitude, otherwise in
+ * general format at precision 17, which std::to_chars prints exactly
+ * as printf's "%.17g" does.
+ */
+void formatNumber(std::string &out, double d);
+
+/** Append @p s as a quoted JSON string. */
+void escapeString(std::string &out, std::string_view s);
+
+/** Append @p items as a JSON array, each element written by
+ *  @p write(out, item). */
+template <typename Items, typename Write>
+void
+formatArray(std::string &out, const Items &items, Write &&write)
+{
+    out += '[';
+    bool first = true;
+    for (const auto &item : items) {
+        if (!first)
+            out += ',';
+        first = false;
+        write(out, item);
+    }
+    out += ']';
+}
+
+/**
+ * A streaming cursor over JSON text: it reads a document in one pass,
+ * objects member by member and arrays element by element, building
+ * nothing it is not asked for. It tracks where it is as a JSON path
+ * ("sfgl.blocks[3].code[2]") without building strings, so every
+ * failure is a FatalError that names the path ("json" at the top
+ * level): a value of the wrong kind ("not a number"), malformed text
+ * ("malformed number at offset K") or nesting deeper than maxDepth.
+ *
+ * The text must outlive the cursor.
+ */
+class JsonCursor
+{
+  public:
+    /** Deepest nesting of arrays and objects a document may have;
+     *  bsyn's own documents nest at most 8 levels. */
+    static constexpr size_t maxDepth = 64;
+
+    explicit JsonCursor(std::string_view text);
+
+    /** The kind of the next value, without reading it. */
+    Json::Kind peek();
+
+    /** Read the next value, which must be of the named kind. */
+    double number();
+    std::string string();
+    bool boolean();
+    void null();
+    /** Read past the next value, whatever it is. */
+    void skip();
+
+    /** Enter the object that comes next; then call nextKey until it
+     *  returns false, reading each member's value in between. */
+    void enterObject();
+    /** Step to the next member of the innermost object and set @p key
+     *  to its name (valid until the next call); false, leaving the
+     *  object, when it has no more. */
+    bool nextKey(std::string_view &key);
+
+    /** Enter the array that comes next; then call nextElement until it
+     *  returns false, reading each element in between. */
+    void enterArray();
+    /** Step to the next element of the innermost array; false, leaving
+     *  the array, when it has no more. */
+    bool nextElement();
+
+    /**
+     * Read the object that comes next, whose members are named
+     * @p names: call @p read(i) with the cursor at the value of member
+     * names[i], and skip members of other names. Fails on a member
+     * given twice, and on one missing unless bit i of @p optional is
+     * set.
+     */
+    template <size_t N, typename Read>
+    void readObject(const std::string_view (&names)[N], uint32_t optional,
+                    Read &&read);
+
+    /** Fail unless only whitespace follows the document. */
+    void finish();
+
+    /** Where the cursor is: "" at the top level, else the path of the
+     *  member or element being read ("phases[1].sfgl.blocks[0].exec");
+     *  after a container is left, the path of that container. */
+    std::string path() const;
+
+    /** Throw a FatalError "<path>: <what>", with "json" for an empty
+     *  path. */
+    [[noreturn]] void fail(const std::string &what) const;
+
+  private:
+    static constexpr size_t npos = static_cast<size_t>(-1);
+
+    struct Frame
+    {
+        bool object;
+        size_t index;         ///< the current entry; npos before the first
+        std::string_view key; ///< the current member's name, as written
+    };
+
+    char peekChar();
+    void enter(bool object);
+    bool advance(char close);
+    void readString(std::string &out);
+    unsigned readHex4();
+    [[noreturn]] void syntaxError(const char *what, const char *at) const;
+    [[noreturn]] void failMissing(std::string_view name) const;
+
+    const char *begin_;
+    const char *p_;
+    const char *end_;
+    Frame frames_[maxDepth];
+    size_t depth_ = 0;
+    std::string keyBuf_; ///< a key decoded from escapes
+};
+
+template <size_t N, typename Read>
+void
+JsonCursor::readObject(const std::string_view (&names)[N], uint32_t optional,
+                       Read &&read)
+{
+    static_assert(N <= 32, "one bit per member");
+    uint32_t seen = 0;
+    enterObject();
+    std::string_view key;
+    while (nextKey(key)) {
+        size_t i = 0;
+        while (i < N && key != names[i])
+            ++i;
+        if (i == N) {
+            skip();
+            continue;
+        }
+        if (seen & (1u << i))
+            fail("duplicate key");
+        seen |= 1u << i;
+        read(i);
+    }
+    for (size_t i = 0; i < N; ++i)
+        if (!((seen | optional) & (1u << i)))
+            failMissing(names[i]);
+}
 
 } // namespace bsyn
 

@@ -452,18 +452,38 @@ TEST_F(Cli, MalformedValuesExitExactlyTwo)
 
 TEST_F(Cli, InternalErrorInACommandExitsOne)
 {
-    // A profile field of the wrong type panics deep in the JSON reader;
-    // main's last-resort handler turns that into exit 1, not an abort.
+    // A suite status field of the wrong type panics in the Json DOM's
+    // kind check; main's last-resort handler turns that into exit 1,
+    // not an abort.
+    std::filesystem::create_directory(path("shard"));
+    writeFile(path("shard/suite_status.json"),
+              R"({"schema": "bsyn.suite.v1", "shard": {"index": 1, )"
+              R"("count": 1}, "total": "lots", "suiteHash": "x", )"
+              R"("workloads": []})");
+    Outcome o = run({"merge", "shard", "-o", "merged", "--trace",
+                     "trace.json"});
+    EXPECT_EQ(o.code, 1) << o.err;
+    EXPECT_NE(o.err.find("panic:"), std::string::npos) << o.err;
+    EXPECT_NE(o.err.find("not a number"), std::string::npos) << o.err;
+    EXPECT_TRUE(std::filesystem::exists(path("trace.json")));
+}
+
+TEST_F(Cli, ProfileWithAStringForANumberExitsOneNamingTheField)
+{
+    // The DOM's kind check used to panic here ("json: not a number",
+    // exit 1 only through the last-resort handler).
     std::string prog = program();
     ASSERT_EQ(run({"profile", prog, "-o", "p.json"}).code, 0);
     Json prof = Json::parse(readFile(path("p.json")));
     prof.set("dynamicInstructions", Json("lots"));
     writeFile(path("bad.json"), prof.dump(2));
-    Outcome o = run({"synth", "bad.json", "-o", "clone.c", "--trace",
-                     "trace.json"});
+    Outcome o = run({"synth", "bad.json", "-o", "clone.c"});
     EXPECT_EQ(o.code, 1) << o.err;
-    EXPECT_NE(o.err.find("not a number"), std::string::npos) << o.err;
-    EXPECT_TRUE(std::filesystem::exists(path("trace.json")));
+    EXPECT_NE(o.err.find("fatal: dynamicInstructions: not a number"),
+              std::string::npos)
+        << o.err;
+    EXPECT_EQ(o.err.find("panic:"), std::string::npos) << o.err;
+    EXPECT_FALSE(std::filesystem::exists(path("clone.c")));
 }
 
 TEST_F(Cli, ProfileWithAnEdgeToAMissingBlockExitsOne)

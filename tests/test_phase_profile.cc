@@ -14,10 +14,14 @@
 #include "differential_suite.hh"
 #include "gen/registry.hh"
 #include "lang/frontend.hh"
+#include "oracle/profile_json.hh"
+#include "pipeline/session.hh"
 #include "profile/profiler.hh"
 #include "profile/statistical_profile.hh"
 #include "straight_line.hh"
+#include "support/string_util.hh"
 #include "synth/synthesizer.hh"
+#include "workloads/suite.hh"
 #include "workloads/workload.hh"
 
 namespace bsyn
@@ -51,6 +55,27 @@ int main() {
 }
 )";
 
+/** A multi-phase program whose branch in alt alternates without a
+ *  break from one loop to the next. */
+const char *kAlternatingSource = R"(
+uint a[4096];
+int alt(int i, int s) {
+  if (i & 1) return s + i;
+  return s ^ i;
+}
+int main() {
+  int i;
+  int r;
+  int s = 0;
+  for (i = 0; i < 4096; i++) a[i] = i * 7;
+  for (i = 0; i < 12000; i++) s = alt(i, s * 3 + 1);
+  for (r = 0; r < 3; r++)
+    for (i = 0; i < 4096; i++) s = alt(i, s + a[(i * 67) % 4096]);
+  printf("%d\n", s);
+  return 0;
+}
+)";
+
 profile::StatisticalProfile
 profileSource(const char *src, const char *name,
               profile::ProfileOptions popts = {})
@@ -78,8 +103,10 @@ expectSinglePhaseMirrorsAggregate(const profile::StatisticalProfile &p)
     const auto &ph = p.phases[0];
     EXPECT_EQ(ph.dynamicInstructions, p.dynamicInstructions);
     EXPECT_EQ(ph.firstSlice, 0u);
-    EXPECT_EQ(ph.mix.toJson().dump(-1), p.mix.toJson().dump(-1));
-    EXPECT_EQ(ph.sfgl.toJson().dump(-1), p.sfgl.toJson().dump(-1));
+    EXPECT_EQ(oracle::mixToJson(ph.mix).dump(-1),
+              oracle::mixToJson(p.mix).dump(-1));
+    EXPECT_EQ(oracle::sfglToJson(ph.sfgl).dump(-1),
+              oracle::sfglToJson(p.sfgl).dump(-1));
 }
 
 TEST(ProfileCompat, V1LoadsAsSinglePhaseV3)
@@ -93,7 +120,7 @@ TEST(ProfileCompat, V1LoadsAsSinglePhaseV3)
     expectSinglePhaseMirrorsAggregate(p);
     // v1 descriptors (5-element arrays) load with the branch fields
     // defaulted — the profile must still re-serialize as v3.
-    Json j = p.toJson();
+    Json j = Json::parse(p.serialize());
     EXPECT_EQ(j.get("version").asInt(), 3);
     EXPECT_FALSE(j.has("phases"));
 }
@@ -117,7 +144,8 @@ TEST(ProfileCompat, V1AndV2DescribeTheSameWorkload)
         fixturePath("profile_v2.json"));
     EXPECT_EQ(v1.workloadName, v2.workloadName);
     EXPECT_EQ(v1.dynamicInstructions, v2.dynamicInstructions);
-    EXPECT_EQ(v1.mix.toJson().dump(-1), v2.mix.toJson().dump(-1));
+    EXPECT_EQ(oracle::mixToJson(v1.mix).dump(-1),
+              oracle::mixToJson(v2.mix).dump(-1));
     EXPECT_EQ(v1.sfgl.blocks.size(), v2.sfgl.blocks.size());
 }
 
@@ -127,7 +155,7 @@ TEST(PhaseProfile, SinglePhaseSerializesCompact)
     ASSERT_EQ(p.phases.size(), 1u);
     EXPECT_GT(p.sliceLength, 0u);
     EXPECT_GE(p.sliceCount, 2u);
-    Json j = p.toJson();
+    Json j = Json::parse(p.serialize());
     EXPECT_EQ(j.get("version").asInt(), 3);
     // A single phase mirrors the aggregate, so serializing it would
     // only duplicate the profile; the key is reserved for real lists.
@@ -144,7 +172,7 @@ TEST(PhaseProfile, MultiPhaseRoundTripsByteIdentically)
 {
     auto p = profilePhaseShift(3);
     ASSERT_TRUE(p.multiPhase());
-    Json j = p.toJson();
+    Json j = Json::parse(p.serialize());
     ASSERT_TRUE(j.has("phases"));
     EXPECT_EQ(j.get("phases").size(), p.phases.size());
 
@@ -172,25 +200,7 @@ TEST(PhaseProfile, TransitionRatesAboveOneRoundTrip)
     // first therefore also counts the flip from the outcome the phase
     // before it ended on, so its transitions equal its executions e
     // and its rate is e / (e - 1) > 1. Such profiles must load.
-    auto p = profileSource(R"(
-uint a[4096];
-int alt(int i, int s) {
-  if (i & 1) return s + i;
-  return s ^ i;
-}
-int main() {
-  int i;
-  int r;
-  int s = 0;
-  for (i = 0; i < 4096; i++) a[i] = i * 7;
-  for (i = 0; i < 12000; i++) s = alt(i, s * 3 + 1);
-  for (r = 0; r < 3; r++)
-    for (i = 0; i < 4096; i++) s = alt(i, s + a[(i * 67) % 4096]);
-  printf("%d\n", s);
-  return 0;
-}
-)",
-                           "alternating");
+    auto p = profileSource(kAlternatingSource, "alternating");
     ASSERT_TRUE(p.multiPhase());
     double maxRate = 0;
     for (size_t k = 1; k < p.phases.size(); ++k)
@@ -204,6 +214,39 @@ int main() {
 
     auto back = profile::StatisticalProfile::deserialize(p.serialize());
     EXPECT_EQ(back.serialize(), p.serialize());
+}
+
+TEST(ProfileJson, MatchesTheDomWriterAndReader)
+{
+    // The shipped writer and reader build no Json value; the DOM ones
+    // in tests/oracle are their reference. The corpus: every suite
+    // profile, a three-phase profile, one whose later phases carry
+    // transition rates above 1, and both pre-v3 fixtures.
+    const auto &suite = workloads::mibenchSuite();
+    std::vector<profile::StatisticalProfile> corpus(suite.size());
+    pipeline::SessionOptions so;
+    so.threads = 4;
+    pipeline::Session session(so);
+    session.parallelFor(suite.size(), [&](size_t i) {
+        corpus[i] = session.profile(suite[i]);
+    });
+    corpus.push_back(profilePhaseShift(3));
+    corpus.push_back(profileSource(kAlternatingSource, "alternating"));
+    std::vector<std::string> texts;
+    for (const auto &p : corpus) {
+        texts.push_back(p.serialize());
+        EXPECT_EQ(texts.back(), oracle::profileToJson(p).dump(-1))
+            << p.workloadName;
+    }
+    for (const char *file : {"profile_v1.json", "profile_v2.json"})
+        texts.push_back(readFile(fixturePath(file)));
+    for (const auto &text : texts) {
+        auto p = profile::StatisticalProfile::deserialize(text);
+        SCOPED_TRACE(p.workloadName);
+        auto ref = oracle::profileFromJson(Json::parse(text));
+        EXPECT_EQ(p.serialize(), oracle::profileToJson(ref).dump(-1));
+        EXPECT_EQ(p.phases.size(), ref.phases.size());
+    }
 }
 
 TEST(PhaseDetection, MatchesTheGeneratorsConfiguredCount)

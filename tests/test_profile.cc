@@ -10,6 +10,7 @@
 #include "oracle/profiler.hh"
 #include "profile/profiler.hh"
 #include "support/error.hh"
+#include "support/rng.hh"
 
 namespace bsyn
 {
@@ -514,8 +515,16 @@ TEST(Sfgl, LoadsPreV2DescriptorsWithoutBranchFields)
     root.set("blocks", std::move(blocks));
     root.set("loops", Json::array());
     root.set("funcNames", Json::array());
+    Json mix = Json::array();
+    for (size_t i = 0; i < profile::InstrMix::numClasses; ++i)
+        mix.push(Json(0));
+    Json prof = Json::object();
+    prof.set("workload", Json("v1"));
+    prof.set("dynamicInstructions", Json(5));
+    prof.set("mix", std::move(mix));
+    prof.set("sfgl", std::move(root));
 
-    auto g = profile::Sfgl::fromJson(root, "sfgl");
+    auto g = profile::StatisticalProfile::deserialize(prof.dump(-1)).sfgl;
     ASSERT_EQ(g.blocks.size(), 1u);
     ASSERT_EQ(g.blocks[0].code.size(), 1u);
     EXPECT_EQ(g.blocks[0].code[0].missClass, 3);
@@ -637,19 +646,35 @@ TEST(Sfgl, RejectsMismatchedIdsAndEnumsInEveryPhase)
     }
 }
 
-/** @p prof serialized, with the number after the first @p key replaced
- *  by the text @p value (a JSON edit the profile object cannot
- *  express, such as a negative count). */
+/** Offset of the value of the first member @p key in @p text. */
+size_t
+valueOffset(const std::string &text, const std::string &key)
+{
+    std::string tag = "\"" + key + "\":";
+    size_t from = text.find(tag);
+    EXPECT_NE(from, std::string::npos) << key;
+    return from + tag.size();
+}
+
+/** @p prof serialized, with the value of the first @p key (a number, a
+ *  string or an array) replaced by the text @p value: a JSON edit the
+ *  profile object cannot express, such as a negative count. */
 std::string
 withFirst(const profile::StatisticalProfile &prof, const std::string &key,
           const std::string &value)
 {
     std::string text = prof.serialize();
-    std::string tag = "\"" + key + "\":";
-    size_t from = text.find(tag);
-    EXPECT_NE(from, std::string::npos) << key;
-    from += tag.size();
+    size_t from = valueOffset(text, key);
     size_t to = text.find_first_of(",]}", from);
+    if (text[from] == '[') { // to just past the bracket that closes it
+        int depth = 0;
+        for (to = from;; ++to) {
+            depth += text[to] == '[' ? 1 : text[to] == ']' ? -1 : 0;
+            if (depth == 0)
+                break;
+        }
+        ++to;
+    }
     return text.replace(from, to - from, value);
 }
 
@@ -794,6 +819,216 @@ TEST(ProfileCounts, AcceptsTransitionRatesUpToTwo)
             if (d.branchExecutions)
                 d.transitionRate = 1.5;
     EXPECT_EQ(loadError(prof), "");
+}
+
+// ------------------------------------------------------------------
+// Malformed profile JSON: each fails with a FatalError naming the
+// field's JSON path (these used to panic in the DOM's kind checks,
+// escape as std::stod's exceptions, or load).
+// ------------------------------------------------------------------
+
+TEST(ProfileJson, RejectsAStringForACount)
+{
+    EXPECT_EQ(textLoadError(withFirst(loopProfile(), "dynamicInstructions",
+                                      "\"x\"")),
+              "fatal: dynamicInstructions: not a number");
+    EXPECT_EQ(textLoadError(withFirst(loopProfile(), "exec", "\"4095\"")),
+              "fatal: sfgl.blocks[0].exec: not a number");
+}
+
+TEST(ProfileJson, RejectsANumberForTheWorkloadName)
+{
+    EXPECT_EQ(textLoadError(withFirst(loopProfile(), "workload", "5")),
+              "fatal: workload: not a string");
+}
+
+TEST(ProfileJson, RejectsADescriptorThatIsNoArray)
+{
+    EXPECT_EQ(textLoadError(withFirst(loopProfile(), "code", "[{\"a\":1}]")),
+              "fatal: sfgl.blocks[0].code[0]: not an array");
+}
+
+TEST(ProfileJson, RejectsADescriptorOfTheWrongLength)
+{
+    EXPECT_EQ(textLoadError(withFirst(loopProfile(), "code", "[[27,2]]")),
+              "fatal: sfgl.blocks[0].code[0]: expected 5 or 8 numbers, not "
+              "2");
+    EXPECT_EQ(textLoadError(withFirst(loopProfile(), "succs", "[[1,2,3]]")),
+              "fatal: sfgl.blocks[0].succs[0]: expected 2 numbers, not 3");
+}
+
+TEST(ProfileJson, RejectsMalformedNumbers)
+{
+    // An overflow, a lone minus and a leading plus (which JSON lacks).
+    for (const char *bad : {"1e999", "-", "+4095"}) {
+        SCOPED_TRACE(bad);
+        std::string text = withFirst(loopProfile(), "exec", bad);
+        EXPECT_EQ(textLoadError(text),
+                  "fatal: sfgl.blocks[0].exec: malformed number at offset " +
+                      std::to_string(valueOffset(text, "exec")));
+    }
+}
+
+TEST(ProfileJson, RejectsAnUnknownVersion)
+{
+    EXPECT_EQ(textLoadError(withFirst(loopProfile(), "version", "99")),
+              "fatal: version: 99, expected 3");
+}
+
+TEST(ProfileJson, RejectsAMixOfTheWrongLength)
+{
+    EXPECT_EQ(textLoadError(withFirst(loopProfile(), "mix", "[]")),
+              "fatal: mix: expected 13 counts, not 0");
+}
+
+TEST(ProfileJson, RejectsMissingAndDuplicateKeys)
+{
+    std::string text = loopProfile().serialize();
+    std::string noExec = text;
+    noExec.erase(noExec.find("\"exec\":"),
+                 noExec.find(",\"code\":") - noExec.find("\"exec\":") + 1);
+    EXPECT_EQ(textLoadError(noExec), "fatal: sfgl.blocks[0].exec: missing");
+    std::string noSfgl = text;
+    noSfgl.replace(noSfgl.find("\"sfgl\":"), 6, "\"graph\"");
+    EXPECT_EQ(textLoadError(noSfgl), "fatal: sfgl: missing");
+    std::string twice = text;
+    twice.insert(twice.find("\"exec\":"), "\"exec\":1,");
+    EXPECT_EQ(textLoadError(twice),
+              "fatal: sfgl.blocks[0].exec: duplicate key");
+}
+
+TEST(ProfileJson, AcceptsAnyKeyOrderWhitespaceAndUnknownKeys)
+{
+    // What loaded through the DOM still loads: members reordered (loops
+    // before blocks), pretty-printed, with a key nobody reads.
+    auto prof = loopProfile();
+    Json j = Json::parse(prof.serialize());
+    Json sfgl = Json::object();
+    for (const char *key : {"funcNames", "loops", "blocks"})
+        sfgl.set(key, j.get("sfgl").get(key));
+    Json reordered = Json::object();
+    reordered.set("comment", Json::parse("{\"nested\":[1,[2,{\"x\":null}]]}"));
+    for (const std::string &key : j.keys())
+        reordered.set(key, key == "sfgl" ? sfgl : j.get(key));
+    EXPECT_EQ(profile::StatisticalProfile::deserialize(reordered.dump(4))
+                  .serialize(),
+              prof.serialize());
+}
+
+TEST(ProfileJson, BoundsNesting)
+{
+    // An unknown key holding 100,000 nested arrays used to overflow the
+    // recursive parser's stack (exit 139 at 60,000).
+    std::string text = loopProfile().serialize();
+    text.insert(1, "\"junk\":" + std::string(100000, '[') +
+                       std::string(100000, ']') + ",");
+    std::string err = textLoadError(text);
+    EXPECT_EQ(err.rfind("fatal: junk[0][0]", 0), 0u) << err;
+    EXPECT_NE(err.find(": nesting deeper than 64 at offset 71"),
+              std::string::npos)
+        << err;
+}
+
+/** A profile with two or more phases, for the fuzzer to mutate. */
+profile::StatisticalProfile
+multiPhaseProfile()
+{
+    auto prof = profileSource(R"(
+uint a[4096];
+int main() {
+  int i;
+  uint s = 0;
+  for (i = 0; i < 20000; i++) s = s * 3u + (uint)i;
+  for (i = 0; i < 20000; i++) s = s + a[(i * 67) % 4096];
+  for (i = 0; i < 20000; i++) if (s & 1u) s = s / 3u; else s = s * 5u + 1u;
+  printf("%u\n", s);
+  return 0;
+})");
+    EXPECT_TRUE(prof.multiPhase());
+    return prof;
+}
+
+/** @p text with one mutation of the kind @p rng picks: a flipped bit,
+ *  a deleted or inserted structural character, a truncation, two
+ *  numbers swapped, or a number replaced by a hostile one. */
+std::string
+mutate(std::string text, Rng &rng)
+{
+    static const std::string structural = "{}[]:,\"";
+    static const char *const hostile[] = {"-1",  "1e999", "1e300", "0.5",
+                                          "-",   "+1",    "\"x\"", "99999",
+                                          "-2",  "[]",    "{}",    "null",
+                                          "1e19"};
+    if (text.empty()) // truncated by an earlier mutation
+        return text;
+    auto at = [&rng](size_t n) {
+        return static_cast<size_t>(rng.nextBounded(n));
+    };
+    // Numbers in the text: [start, end) spans of "-0123456789.eE+".
+    auto numberAt = [&text](size_t pos) {
+        const char *chars = "-0123456789.eE+";
+        size_t start = text.find_first_of("-0123456789", pos);
+        if (start == std::string::npos)
+            return std::make_pair(text.size(), text.size());
+        return std::make_pair(start, text.find_first_not_of(chars, start));
+    };
+    switch (at(6)) {
+      case 0: text[at(text.size())] ^= static_cast<char>(1 << at(8)); break;
+      case 1: {
+        size_t pos = text.find_first_of(structural, at(text.size()));
+        if (pos != std::string::npos)
+            text.erase(pos, 1);
+        break;
+      }
+      case 2:
+        text.insert(at(text.size() + 1), 1,
+                    structural[at(structural.size())]);
+        break;
+      case 3: text.resize(at(text.size())); break;
+      case 4: {
+        auto a = numberAt(at(text.size()));
+        auto b = numberAt(at(text.size()));
+        if (a.first > b.first)
+            std::swap(a, b);
+        if (a.second > b.first) // the same number, or none
+            break;
+        std::string second = text.substr(b.first, b.second - b.first);
+        text.replace(b.first, b.second - b.first,
+                     text.substr(a.first, a.second - a.first));
+        text.replace(a.first, a.second - a.first, second);
+        break;
+      }
+      default: {
+        auto n = numberAt(at(text.size()));
+        text.replace(n.first, n.second - n.first,
+                     hostile[at(std::size(hostile))]);
+      }
+    }
+    return text;
+}
+
+TEST(ProfileFuzz, MutantsLoadOrFailWithAFatalError)
+{
+    // Each mutant of a multi-phase profile loads or throws FatalError:
+    // any other exception fails the test, and a crash fails the suite
+    // (the sanitizers job runs it under ASan and UBSan).
+    const std::string text = multiPhaseProfile().serialize();
+    size_t loaded = 0, rejected = 0;
+    for (uint64_t seed = 1; seed <= 4000; ++seed) {
+        Rng rng(seed);
+        std::string mutant = mutate(text, rng);
+        if (seed % 4 == 0) // and some with a second mutation
+            mutant = mutate(mutant, rng);
+        try {
+            profile::StatisticalProfile::deserialize(mutant);
+            ++loaded;
+        } catch (const FatalError &) {
+            ++rejected;
+        }
+    }
+    // The mutations reach both outcomes, not only the first check.
+    EXPECT_GT(loaded, 100u);
+    EXPECT_GT(rejected, 1000u);
 }
 
 TEST(Sfgl, DynamicInstructionAccounting)

@@ -235,6 +235,70 @@ TEST(Json, ParseErrors)
     EXPECT_THROW(Json::parse(""), FatalError);
 }
 
+TEST(Json, MalformedNumbersAreFatal)
+{
+    // What JSON does not allow, and numbers beyond a double's range:
+    // std::stod used to accept some and throw its own exceptions on
+    // others.
+    for (const char *text : {"+1", "-", "1e999", "-1e999", "1e-999", "01",
+                             "1.", ".5", "1e", "1.5.2", "--1", "1e+"}) {
+        SCOPED_TRACE(text);
+        try {
+            Json::parse(text);
+            ADD_FAILURE() << "parsed";
+        } catch (const FatalError &e) {
+            EXPECT_STREQ(e.what(),
+                         "fatal: json: malformed number at offset 0");
+        }
+    }
+    // Inside a document the message names the member.
+    try {
+        Json::parse("{\"total\": 1e999}");
+        ADD_FAILURE() << "parsed";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "fatal: total: malformed number at offset 10");
+    }
+}
+
+TEST(Json, NumbersRoundTripExactly)
+{
+    // The writer prints integers below 9e15 as integers and everything
+    // else at 17 significant digits; the reader takes short integers on
+    // a fast path and the rest through from_chars. Either way a number
+    // reads back as the double that was written.
+    for (double d : {0.0, -3.0, 0.1, 1.0 / 3, -2.5e-7, 4.9406564584124654e-324,
+                     1.7976931348623157e308, 999999999999999.0,
+                     8999999999999999.0, 9007199254740993.0, 1e300}) {
+        std::string text;
+        formatNumber(text, d);
+        EXPECT_EQ(Json::parse(text).asNumber(), d) << text;
+    }
+    std::string text;
+    formatNumber(text, 4095);
+    formatNumber(text, 0.25);
+    formatNumber(text, 1e17);
+    EXPECT_EQ(text, "40950.251e+17");
+}
+
+TEST(Json, NestingIsBounded)
+{
+    // The recursive parser had no bound: 60,000 nested arrays overflowed
+    // its stack.
+    auto nested = [](size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_EQ(Json::parse(nested(JsonCursor::maxDepth)).size(), 1u);
+    try {
+        Json::parse(nested(100000));
+        ADD_FAILURE() << "parsed";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find(": nesting deeper than 64 at offset 64"),
+                  std::string::npos)
+            << msg;
+    }
+}
+
 TEST(Sha256, MatchesKnownVectors)
 {
     // FIPS 180-4 / RFC 6234 test vectors.
