@@ -177,13 +177,6 @@ Session::cacheStats() const
 
 // --------------------------------------------------------------- stages
 
-ir::Module
-Session::compile(const std::string &source, const std::string &name,
-                 opt::OptLevel level, bool schedule_for_in_order) const
-{
-    return compileSource(source, name, level, schedule_for_in_order);
-}
-
 bsyn::profile::StatisticalProfile
 Session::profile(const std::string &source, const std::string &name,
                  bool *cached)

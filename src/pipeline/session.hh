@@ -2,9 +2,9 @@
  * @file
  * pipeline::Session — the stage-oriented entry point to the paper's
  * Figure-1 flow. A Session owns the worker thread pool and a
- * content-addressed ArtifactCache, and exposes each stage (compile,
- * profile, synthesize, process, processSuite) as a first-class call so
- * any prefix of the flow can be reused or resumed: a warm cache makes a
+ * content-addressed ArtifactCache, and exposes each stage (profile,
+ * synthesize, process, processSuite) as a first-class call so any
+ * prefix of the flow can be reused or resumed: a warm cache makes a
  * suite re-run skip every profile and synthesis while producing
  * byte-identical output, and batch results stream into a RunSink
  * instead of accumulating in memory.
@@ -103,12 +103,6 @@ class Session
     Session &operator=(const Session &) = delete;
 
     // ------------------------------------------------------------ stages
-
-    /** Compile source at a level (optionally scheduling for in-order).
-     *  Never cached: IR modules are cheap and not serializable. */
-    ir::Module compile(const std::string &source, const std::string &name,
-                       opt::OptLevel level,
-                       bool schedule_for_in_order = false) const;
 
     /** Profile @p source at -O0 (cached by source content + name).
      *  @p cached, when non-null, reports whether the cache served it.

@@ -88,7 +88,7 @@ reconstructFromCounters(const isa::MachineProgram &prog,
             size_t tgt = static_cast<size_t>(mi.target);
             if (b.taken && starts(tgt))
                 m.edges[{from, pc_to_block[tgt]}] += b.taken;
-            uint64_t fall = b.executions - b.taken;
+            uint64_t fall = derivedBranches(mi, c.execCount[pc]) - b.taken;
             if (fall && pc + 1 < n && starts(pc + 1))
                 m.edges[{from, pc_to_block[pc + 1]}] += fall;
             break;
@@ -147,10 +147,11 @@ sliceSums(const sim::SlicedCounters &slices,
         const sim::CounterSlice &slice = slices.slices[i];
         SliceSums &s = sums[i];
         for (const sim::PcDelta &d : slice.pcs) {
-            s.mix.add(prog.code[d.pc].cls(), d.exec);
-            s.accesses += d.memAccesses;
+            const MInst &mi = prog.code[d.pc];
+            s.mix.add(mi.cls(), d.exec);
+            s.accesses += derivedAccesses(mi, d.exec);
             s.misses += d.memMisses;
-            s.branches += d.brExecutions;
+            s.branches += derivedBranches(mi, d.exec);
             s.taken += d.brTaken;
         }
         s.retired = slice.end - begin;
@@ -368,45 +369,36 @@ annotateDynamic(Sfgl &sfgl, const RunMeasurements &dyn,
         sfgl.blocks[static_cast<size_t>(edge.first)].succs.push_back(
             {edge.second, count});
 
-    // Branch annotations: every executed CondBr of a block gets its
-    // own per-descriptor rates (a block can lower to several); the
-    // block-level rates summarize the first executed one.
+    // Branch and memory annotations: every executed CondBr of a block
+    // gets its own per-descriptor rates (a block can lower to several),
+    // and the block-level rates summarize the first executed one; a PC
+    // without accesses keeps miss class 0.
+    const sim::InstrumentedCounters &c = dyn.counters;
     for (size_t b = 0; b < sfgl.blocks.size(); ++b) {
         SfglBlock &blk = sfgl.blocks[b];
-        int start = st.block_start_pc[b];
+        size_t start = static_cast<size_t>(st.block_start_pc[b]);
         bool block_annotated = false;
         for (size_t i = 0; i < blk.code.size(); ++i) {
-            int pc = start + static_cast<int>(i);
-            if (prog.code[static_cast<size_t>(pc)].kind != MKind::CondBr)
+            size_t pc = start + i;
+            InstrDescriptor &d = blk.code[i];
+            const MInst &mi = prog.code[pc];
+            if (uint64_t accesses = derivedAccesses(mi, c.execCount[pc]))
+                d.missClass =
+                    MemAccessStats{accesses, c.memMisses[pc]}.missClass();
+            uint64_t executions = derivedBranches(mi, c.execCount[pc]);
+            if (executions == 0)
                 continue;
-            const auto &bc = dyn.counters.branch[static_cast<size_t>(pc)];
-            if (bc.executions == 0)
-                continue;
-            BranchStats bs{bc.executions, bc.taken, bc.transitions};
-            blk.code[i].branchExecutions = bs.executions;
-            blk.code[i].takenRate = bs.takenRate();
-            blk.code[i].transitionRate = bs.transitionRate();
+            BranchStats bs{executions, c.branch[pc].taken,
+                           c.branch[pc].transitions};
+            d.branchExecutions = bs.executions;
+            d.takenRate = bs.takenRate();
+            d.transitionRate = bs.transitionRate();
             if (!block_annotated && blk.term == SfglTerm::Branch) {
                 blk.takenRate = bs.takenRate();
                 blk.transitionRate = bs.transitionRate();
                 blk.easyBranch = isEasyBranch(blk.transitionRate);
                 block_annotated = true;
             }
-        }
-    }
-
-    // Memory annotations.
-    for (size_t b = 0; b < sfgl.blocks.size(); ++b) {
-        SfglBlock &blk = sfgl.blocks[b];
-        int start = st.block_start_pc[b];
-        for (size_t i = 0; i < blk.code.size(); ++i) {
-            InstrDescriptor &d = blk.code[i];
-            if (!d.readsMem && !d.writesMem)
-                continue;
-            size_t pc = static_cast<size_t>(start) + i;
-            MemAccessStats ms{dyn.counters.memAccesses[pc],
-                              dyn.counters.memMisses[pc]};
-            d.missClass = ms.accesses ? ms.missClass() : 0;
         }
     }
 
@@ -464,7 +456,6 @@ assemble(const StaticSfgl &st, const isa::MachineProgram &prog,
             RunMeasurements pd;
             sim::InstrumentedCounters &c = pd.counters;
             c.execCount.assign(n, 0);
-            c.memAccesses.assign(n, 0);
             c.memMisses.assign(n, 0);
             c.branch.assign(n, sim::InstrumentedCounters::Branch());
             auto eachDelta = [&](const PhaseSeg &seg, auto &&fn) {
@@ -475,9 +466,7 @@ assemble(const StaticSfgl &st, const isa::MachineProgram &prog,
             for (const PhaseSeg &seg : segs) {
                 eachDelta(seg, [&](const sim::PcDelta &d) {
                     c.execCount[d.pc] += d.exec;
-                    c.memAccesses[d.pc] += d.memAccesses;
                     c.memMisses[d.pc] += d.memMisses;
-                    c.branch[d.pc].executions += d.brExecutions;
                     c.branch[d.pc].taken += d.brTaken;
                     c.branch[d.pc].transitions += d.brTransitions;
                 });
@@ -499,7 +488,6 @@ assemble(const StaticSfgl &st, const isa::MachineProgram &prog,
 
                 eachDelta(seg, [&](const sim::PcDelta &d) {
                     c.execCount[d.pc] = 0;
-                    c.memAccesses[d.pc] = 0;
                     c.memMisses[d.pc] = 0;
                     c.branch[d.pc] = sim::InstrumentedCounters::Branch();
                 });
@@ -527,7 +515,7 @@ sim::SliceOptions
 ProfileOptions::sliceOptions() const
 {
     sim::SliceOptions so;
-    so.baseSliceLength = maxSliceCheckpoints >= 2 ? sliceBaseLength : 0;
+    so.baseSliceLength = sliceBaseLength;
     so.maxSlices = maxSliceCheckpoints;
     return so;
 }

@@ -34,7 +34,7 @@ struct ProfileOptions
     uint64_t sliceBaseLength = 4096;
 
     /** Checkpoint budget before adjacent slice pairs coalesce. */
-    uint32_t maxSliceCheckpoints = 64;
+    static constexpr uint32_t maxSliceCheckpoints = 64;
 
     /** The slice settings above as the engine takes them (base length
      *  0 when slicing is off). */
@@ -45,6 +45,25 @@ struct ProfileOptions
      *  across settings. */
     std::string fingerprint() const;
 };
+
+/**
+ * What an exec count decides: each retire of @p mi makes as many data
+ * accesses as it reads and writes memory (a fused load-op-store makes
+ * two) and, at a CondBr, one branch execution. The profiling counters
+ * (sim::InstrumentedCounters) count neither; the profile derives both
+ * from @p exec retires, here and nowhere else.
+ */
+inline uint64_t
+derivedAccesses(const isa::MInst &mi, uint64_t exec)
+{
+    return exec * (mi.readsMemory() + mi.writesMemory());
+}
+
+inline uint64_t
+derivedBranches(const isa::MInst &mi, uint64_t exec)
+{
+    return mi.kind == isa::MKind::CondBr ? exec : 0;
+}
 
 /**
  * What one profiling run measured — the input of assembleProfile().

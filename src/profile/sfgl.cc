@@ -70,36 +70,27 @@ checkedEnum(int64_t v, size_t n, const char *what, const Path &path)
     return static_cast<int>(v);
 }
 
-/** @p v, an integral field (an id, an enum, flags), as an integer. */
-int64_t
-integer(double v)
-{
-    return static_cast<int64_t>(std::llround(v));
-}
-
 /**
- * @p v, read at @p cur, as a reference to a block or loop (@p what).
- * Whether it is in range is checked by checkId once the graph is read,
- * as loops follow the blocks that refer to them.
+ * @p v, an integral field (an id, an enum, a descriptor field), as an
+ * int: finite, integral and within int's range. Anything else is
+ * fatal, naming the field @p path().
  */
+template <typename Path>
 int
-idField(double v, const char *what, const JsonCursor &cur)
+integer(double v, const Path &path)
 {
-    int64_t id = integer(v);
-    if (id < INT_MIN || id > INT_MAX)
-        cur.fail(strprintf("%s %lld out of range", what,
-                           static_cast<long long>(id)));
-    return static_cast<int>(id);
+    if (v == std::floor(v) && v >= INT_MIN && v <= INT_MAX)
+        return static_cast<int>(v);
+    rejectProfileValue(v, path(), "an integer in [-2^31, 2^31)");
 }
 
-/** The id of entry @p i of a table, which must be @p i. */
+/** The id of entry @p i of a table, at @p cur, which must be @p i. */
 void
-checkIndex(double v, size_t i, const JsonCursor &cur)
+checkIndex(size_t i, JsonCursor &cur)
 {
-    int64_t id = integer(v);
-    if (id != static_cast<int64_t>(i))
-        cur.fail(strprintf("%lld, expected %zu", static_cast<long long>(id),
-                           i));
+    int id = integer(cur.number(), [&cur] { return cur.path(); });
+    if (static_cast<int64_t>(id) != static_cast<int64_t>(i))
+        cur.fail(strprintf("%d, expected %zu", id, i));
 }
 
 /** The numbers of the array at @p cur, into @p v: fails unless there
@@ -135,17 +126,20 @@ readDescriptor(JsonCursor &cur)
     auto at = [&cur](const char *field) {
         return [&cur, field] { return cur.path() + "." + field; };
     };
-    InstrDescriptor d;
-    d.op = static_cast<ir::Opcode>(integer(v[0]));
-    d.type = static_cast<ir::Type>(integer(v[1]));
-    d.cls = static_cast<isa::MClass>(checkedEnum(
-        integer(v[2]), InstrMix::numClasses, "instruction class", here));
-    int flags = static_cast<int>(integer(v[3]));
+    InstrDescriptor d; // Nop and F64 are the last opcode and type
+    d.op = static_cast<ir::Opcode>(checkedEnum(
+        integer(v[0], at("op")), size_t(ir::Opcode::Nop) + 1, "opcode", here));
+    d.type = static_cast<ir::Type>(checkedEnum(
+        integer(v[1], at("type")), size_t(ir::Type::F64) + 1, "type", here));
+    d.cls = static_cast<isa::MClass>(
+        checkedEnum(integer(v[2], at("class")), InstrMix::numClasses,
+                    "instruction class", here));
+    int flags = checkedEnum(integer(v[3], at("flags")), 8, "flags", here);
     d.readsMem = flags & 1;
     d.writesMem = flags & 2;
     d.isControl = flags & 4;
-    d.missClass =
-        checkedEnum(integer(v[4]), numMissClasses, "miss class", here);
+    d.missClass = checkedEnum(integer(v[4], at("missClass")),
+                              numMissClasses, "miss class", here);
     // Pre-v2 profiles lack the per-branch annotation; load them with
     // the fields at their defaults.
     if (n == 8) {
@@ -162,9 +156,10 @@ readEdge(JsonCursor &cur)
 {
     double v[2];
     readNumbers(cur, v, 2, 2);
+    auto here = [&cur] { return cur.path(); };
     SfglEdge e;
-    e.to = idField(v[0], "block", cur);
-    e.count = checkedCount(v[1], [&cur] { return cur.path(); });
+    e.to = integer(v[0], here);
+    e.count = checkedCount(v[1], here);
     return e;
 }
 
@@ -181,10 +176,11 @@ readBlock(JsonCursor &cur, size_t i)
     b.id = static_cast<int>(i);
     cur.readObject(kBlockFields, 0, [&](size_t field) {
         switch (field) {
-          case 0: checkIndex(cur.number(), i, cur); break;
-          case 1: b.funcId = static_cast<int>(integer(cur.number())); break;
+          case 0: checkIndex(i, cur); break;
+          case 1: b.funcId = integer(cur.number(), here); break;
           case 2:
-            b.irBlockId = static_cast<int>(integer(cur.number()));
+            b.irBlockId = checkedEnum(integer(cur.number(), here), INT_MAX,
+                                      "IR block", here);
             break;
           case 3: b.execCount = checkedCount(cur.number(), here); break;
           case 4:
@@ -198,15 +194,15 @@ readBlock(JsonCursor &cur, size_t i)
                 b.succs.push_back(readEdge(cur));
             break;
           case 6:
-            b.term = static_cast<SfglTerm>(
-                checkedEnum(integer(cur.number()), 3, "terminator", here));
+            b.term = static_cast<SfglTerm>(checkedEnum(
+                integer(cur.number(), here), 3, "terminator", here));
             break;
           case 7: b.takenRate = checkedRate(cur.number(), here); break;
           case 8:
             b.transitionRate = checkedTransitionRate(cur.number(), here);
             break;
           case 9: b.easyBranch = cur.boolean(); break;
-          case 10: b.loopId = idField(cur.number(), "loop", cur); break;
+          case 10: b.loopId = integer(cur.number(), here); break;
         }
     });
     return b;
@@ -224,17 +220,22 @@ readLoop(JsonCursor &cur, size_t i)
     l.id = static_cast<int>(i);
     cur.readObject(kLoopFields, 0, [&](size_t field) {
         switch (field) {
-          case 0: checkIndex(cur.number(), i, cur); break;
-          case 1: l.header = idField(cur.number(), "block", cur); break;
+          case 0: checkIndex(i, cur); break;
+          case 1: l.header = integer(cur.number(), here); break;
           case 2:
             cur.enterArray();
             while (cur.nextElement())
-                l.blocks.push_back(idField(cur.number(), "block", cur));
+                l.blocks.push_back(integer(cur.number(), here));
             break;
-          case 3: l.parent = idField(cur.number(), "loop", cur); break;
-          case 4: l.depth = static_cast<int>(integer(cur.number())); break;
+          case 3: l.parent = integer(cur.number(), here); break;
+          case 4: l.depth = integer(cur.number(), here); break;
           case 5: l.entries = checkedCount(cur.number(), here); break;
-          case 6: l.avgIterations = cur.number(); break;
+          case 6:
+            l.avgIterations = cur.number();
+            if (!(l.avgIterations >= 0 && l.avgIterations < 0x1p53))
+                rejectProfileValue(l.avgIterations, here(),
+                                   "a mean count in [0, 2^53)");
+            break;
         }
     });
     return l;
@@ -355,6 +356,8 @@ Sfgl::readJson(JsonCursor &cur)
                                  cur.path().c_str(), i, k);
             });
         checkId(b.loopId, nloops, "loop", true, at("blocks", i, "loop"));
+        checkId(b.funcId, g.funcNames.size(), "function", false,
+                at("blocks", i, "func"));
     }
     for (size_t i = 0; i < nloops; ++i) {
         const SfglLoop &l = g.loops[i];
@@ -365,6 +368,9 @@ Sfgl::readJson(JsonCursor &cur)
                                  cur.path().c_str(), i, k);
             });
         checkId(l.parent, nloops, "loop", true, at("loops", i, "parent"));
+        if (l.depth < 1 || static_cast<size_t>(l.depth) > nloops)
+            fatal("%s: depth %d out of range (1..%zu)",
+                  at("loops", i, "depth")().c_str(), l.depth, nloops);
     }
     // The synthesizer walks parent chains to the outermost loop, so
     // each must end: an acyclic chain visits fewer than nloops loops.

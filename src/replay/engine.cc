@@ -24,12 +24,13 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-/** Stage histogram slots. Direct mode fills all five; the spool path
- *  cannot see inside the worker, so it fills queue and total only. */
-enum Stage { kQueue, kCompile, kProfile, kSynth, kTotal, kStages };
+/** Stage histogram slots. Direct mode fills all four; the spool path
+ *  cannot see inside the worker, so it fills queue and total only. The
+ *  profile stage compiles the source when the cache misses. */
+enum Stage { kQueue, kProfile, kSynth, kTotal, kStages };
 
-const char *const kStageNames[kStages] = {"queue", "compile", "profile",
-                                          "synth", "total"};
+const char *const kStageNames[kStages] = {"queue", "profile", "synth",
+                                          "total"};
 
 uint64_t
 elapsedNs(Clock::time_point from, Clock::time_point to)
@@ -104,20 +105,16 @@ driveDirect(Drive &d, pipeline::Session &session)
             obs::Span span("arrival", "workload", w.name());
             span.arg("index", std::to_string(i));
             try {
-                session.compile(w.source, w.name(), opt::OptLevel::O0);
-                Clock::time_point t1 = Clock::now();
-                d.hists[kCompile]->record(elapsedNs(t0, t1));
-
                 auto prof = session.profile(w);
-                Clock::time_point t2 = Clock::now();
-                d.hists[kProfile]->record(elapsedNs(t1, t2));
+                Clock::time_point t1 = Clock::now();
+                d.hists[kProfile]->record(elapsedNs(t0, t1));
 
                 synth::SynthesisOptions so = session.options().synthesis;
                 so.targetInstructions = d.opts.targetInstr;
                 so.seed =
                     pipeline::deriveWorkloadSeed(d.opts.seed, w.name());
                 session.synthesize(prof, so);
-                d.hists[kSynth]->record(elapsedNs(t2, Clock::now()));
+                d.hists[kSynth]->record(elapsedNs(t1, Clock::now()));
             } catch (const std::exception &e) {
                 res.ok = false;
                 res.error = e.what();

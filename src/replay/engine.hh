@@ -74,7 +74,7 @@ struct ArrivalResult
 /** Latency percentiles of one pipeline stage (bench half). */
 struct StageSummary
 {
-    std::string stage; ///< queue | compile | profile | synth | total
+    std::string stage; ///< queue | profile | synth | total
     uint64_t count = 0;
     double p50Ms = 0.0;
     double p99Ms = 0.0;

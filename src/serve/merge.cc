@@ -1,6 +1,8 @@
 #include "serve/merge.hh"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
 #include <filesystem>
 #include <set>
 
@@ -17,30 +19,79 @@ namespace
 {
 
 /**
- * Validate that @p seen (shard spec per input, in input order) forms a
- * complete disjoint 1..N cover and that every input agreed on
- * @p what's suite identity. @return N.
+ * Validate that @p parts, what each merge input claims to cover, form
+ * one complete, disjoint cover of one batch: valid specs (1 <= i <= N)
+ * of one count N, each shard 1..N exactly once, one suiteHash and one
+ * total, and every workload index in [0, total) exactly once. @p what
+ * names the merge ("suite").
  */
-unsigned
-checkShardCover(const std::vector<ShardSpec> &seen, const char *what)
+void
+checkShardCover(const std::vector<SuiteStatus> &parts, const char *what)
 {
-    if (seen.empty())
+    if (parts.empty())
         fatal("%s merge: no inputs", what);
-    unsigned count = seen[0].count;
-    std::set<unsigned> indices;
-    for (const auto &spec : seen) {
-        if (spec.count != count)
-            fatal("%s merge: mixed shard counts (%u-way vs %u-way)",
-                  what, spec.count, count);
-        if (!indices.insert(spec.index).second)
-            fatal("%s merge: shard %s appears twice", what,
-                  spec.str().c_str());
+    const SuiteStatus &first = parts[0];
+    std::set<unsigned> shards;
+    std::set<size_t> indices;
+    for (const SuiteStatus &p : parts) {
+        std::string spec = p.shard.str();
+        if (p.shard.count == 0 || p.shard.index == 0 ||
+            p.shard.index > p.shard.count)
+            fatal("%s merge: invalid shard %s", what, spec.c_str());
+        if (p.shard.count != first.shard.count)
+            fatal("%s merge: mixed shard counts (%u-way vs %u-way)", what,
+                  p.shard.count, first.shard.count);
+        if (!shards.insert(p.shard.index).second)
+            fatal("%s merge: shard %s appears twice", what, spec.c_str());
+        if (p.suiteHash != first.suiteHash || p.total != first.total)
+            fatal("%s merge: shard %s was produced from a different "
+                  "suite (suiteHash or size mismatch)",
+                  what, spec.c_str());
+        for (const pipeline::RunStatus &w : p.workloads) {
+            if (w.index >= first.total)
+                fatal("%s merge: index %zu out of range (the batch has %zu)",
+                      what, w.index, first.total);
+            if (!indices.insert(w.index).second)
+                fatal("%s merge: index %zu appears in two shards", what,
+                      w.index);
+        }
     }
-    if (indices.size() != count)
-        for (unsigned i = 1; i <= count; ++i)
-            if (!indices.count(i))
-                fatal("%s merge: missing shard %u/%u", what, i, count);
-    return count;
+    for (unsigned i = 1; i <= first.shard.count; ++i)
+        if (!shards.count(i))
+            fatal("%s merge: missing shard %u/%u", what, i,
+                  first.shard.count);
+    if (indices.size() != first.total)
+        fatal("%s merge: shards cover %zu of %zu entries", what,
+              indices.size(), first.total);
+}
+
+/** Member @p key of @p obj, at @p path in fidelity merge input
+ *  @p input, which must be of @p kind. */
+const Json &
+member(const Json &obj, size_t input, const std::string &path,
+       const char *key, Json::Kind kind)
+{
+    static const char *const kinds[] = {"null",     "a boolean", "a number",
+                                        "a string", "an array",  "an object"};
+    if (!obj.has(key) || obj.get(key).kind() != kind)
+        fatal("fidelity merge: input %zu: %s%s%s: %s%s", input + 1,
+              path.c_str(), path.empty() ? "" : ".", key,
+              obj.has(key) ? "not " : "missing",
+              obj.has(key) ? kinds[static_cast<int>(kind)] : "");
+    return obj.get(key);
+}
+
+/** Member @p key as member() reads it, which must be a count: an
+ *  integer in [0, 2^53). */
+size_t
+countMember(const Json &obj, size_t input, const std::string &path,
+            const char *key)
+{
+    double v = member(obj, input, path, key, Json::Kind::Number).asNumber();
+    if (!(v >= 0 && v < 0x1p53 && v == std::floor(v)))
+        fatal("fidelity merge: input %zu: %s.%s: %g is not a count",
+              input + 1, path.c_str(), key, v);
+    return static_cast<size_t>(v);
 }
 
 } // namespace
@@ -54,45 +105,18 @@ mergeSuiteDirs(const std::string &outDir,
     // Load and cross-validate every shard's status artifact first —
     // nothing is written until the cover is proven complete.
     std::vector<SuiteStatus> statuses;
-    std::vector<ShardSpec> specs;
-    for (const auto &dir : shardDirs) {
+    for (const auto &dir : shardDirs)
         statuses.push_back(
             SuiteStatus::loadFrom(dir + "/" + kSuiteStatusFile));
-        specs.push_back(statuses.back().shard);
-    }
-    checkShardCover(specs, "suite");
-    for (const auto &st : statuses) {
-        if (st.suiteHash != statuses[0].suiteHash)
-            fatal("suite merge: shard %s was produced from a different "
-                  "suite (suiteHash mismatch)",
-                  st.shard.str().c_str());
-        if (st.total != statuses[0].total)
-            fatal("suite merge: shard %s covers a %zu-workload suite, "
-                  "expected %zu",
-                  st.shard.str().c_str(), st.total, statuses[0].total);
-    }
+    checkShardCover(statuses, "suite");
 
     SuiteStatus merged;
     merged.shard = ShardSpec{}; // 1/1 — indistinguishable from unsharded
     merged.total = statuses[0].total;
     merged.suiteHash = statuses[0].suiteHash;
-    std::set<size_t> globalIndices;
-    for (const auto &st : statuses) {
-        for (const auto &w : st.workloads) {
-            if (w.index >= merged.total)
-                fatal("suite merge: workload index %zu out of range "
-                      "(suite has %zu)",
-                      w.index, merged.total);
-            if (!globalIndices.insert(w.index).second)
-                fatal("suite merge: workload '%s' (index %zu) appears "
-                      "in two shards",
-                      w.workload.c_str(), w.index);
-            merged.workloads.push_back(w);
-        }
-    }
-    if (merged.workloads.size() != merged.total)
-        fatal("suite merge: shards cover %zu of %zu workloads",
-              merged.workloads.size(), merged.total);
+    for (const auto &st : statuses)
+        merged.workloads.insert(merged.workloads.end(),
+                                st.workloads.begin(), st.workloads.end());
     std::sort(merged.workloads.begin(), merged.workloads.end(),
               [](const pipeline::RunStatus &a,
                  const pipeline::RunStatus &b) { return a.index < b.index; });
@@ -160,65 +184,55 @@ mergeFidelityReports(const std::vector<Json> &shardReports)
     obs::Span span("merge", "kind", "fidelity");
     span.arg("shards", std::to_string(shardReports.size()));
     // Shard provenance: every report must carry the section
-    // fidelityShardReport() writes, agree on suite identity, and cover
-    // 1..N exactly once.
-    std::vector<ShardSpec> specs;
-    for (const auto &rep : shardReports) {
+    // fidelityShardReport() writes, and the reports must cover one
+    // batch, each instance once.
+    std::vector<SuiteStatus> parts;
+    std::vector<std::pair<size_t, const Json *>> instances;
+    for (size_t r = 0; r < shardReports.size(); ++r) {
+        const Json &rep = shardReports[r];
+        const std::string &schema =
+            member(rep, r, "", "schema", Json::Kind::String).asString();
+        if (schema != gen::kFidelitySchema)
+            fatal("fidelity merge: schema '%s', expected '%s'",
+                  schema.c_str(), gen::kFidelitySchema);
         if (!rep.has("shard"))
             fatal("fidelity merge: input has no shard section (was it "
                   "produced with --shard?)");
         const Json &sh = rep.get("shard");
-        ShardSpec spec;
-        spec.index = static_cast<unsigned>(sh.get("index").asInt());
-        spec.count = static_cast<unsigned>(sh.get("count").asInt());
-        specs.push_back(spec);
+        SuiteStatus part;
+        // A count beyond unsigned fails the spec check as 0.
+        auto specField = [&](const char *key) {
+            size_t v = countMember(sh, r, "shard", key);
+            return v > UINT_MAX ? 0u : static_cast<unsigned>(v);
+        };
+        part.shard.index = specField("index");
+        part.shard.count = specField("count");
+        part.total = countMember(sh, r, "shard", "total");
+        part.suiteHash =
+            member(sh, r, "shard", "suiteHash", Json::Kind::String)
+                .asString();
+        const Json &list =
+            member(rep, r, "", "instances", Json::Kind::Array);
+        for (size_t i = 0; i < list.size(); ++i) {
+            size_t index = countMember(
+                list.at(i), r, strprintf("instances[%zu]", i), "index");
+            part.workloads.emplace_back().index = index;
+            instances.emplace_back(index, &list.at(i));
+        }
+        parts.push_back(std::move(part));
     }
-    checkShardCover(specs, "fidelity");
-    const Json &first = shardReports[0];
-    const std::string suiteHash =
-        first.get("shard").get("suiteHash").asString();
-    const uint64_t total = static_cast<uint64_t>(
-        first.get("shard").get("total").asInt());
-    for (const auto &rep : shardReports) {
-        if (rep.get("schema").asString() != gen::kFidelitySchema)
-            fatal("fidelity merge: schema '%s', expected '%s'",
-                  rep.get("schema").asString().c_str(),
-                  gen::kFidelitySchema);
-        const Json &sh = rep.get("shard");
-        if (sh.get("suiteHash").asString() != suiteHash)
-            fatal("fidelity merge: shard produced from a different "
-                  "suite (suiteHash mismatch)");
-        if (static_cast<uint64_t>(sh.get("total").asInt()) != total)
-            fatal("fidelity merge: shards disagree on the suite size");
-    }
+    checkShardCover(parts, "fidelity");
 
-    // Collect instances and restore full-batch order by global index.
-    std::vector<const Json *> instances;
-    for (const auto &rep : shardReports) {
-        const Json &list = rep.get("instances");
-        for (size_t i = 0; i < list.size(); ++i)
-            instances.push_back(&list.at(i));
-    }
+    // Restore full-batch order by global index (each appears once).
     std::sort(instances.begin(), instances.end(),
-              [](const Json *a, const Json *b) {
-                  return a->get("index").asInt() < b->get("index").asInt();
-              });
-    std::set<int64_t> seen;
-    for (const Json *inst : instances)
-        if (!seen.insert(inst->get("index").asInt()).second)
-            fatal("fidelity merge: instance index %lld appears in two "
-                  "shards",
-                  static_cast<long long>(inst->get("index").asInt()));
-    if (instances.size() != total)
-        fatal("fidelity merge: shards cover %zu of %llu instances",
-              instances.size(), static_cast<unsigned long long>(total));
+              [](const auto &a, const auto &b) { return a.first < b.first; });
 
     // The summary accumulates over the instances in restored batch
     // order, so the floating-point sums — and therefore the serialized
     // bytes — match an unsharded run exactly.
     Json list = Json::array();
-    for (const Json *inst : instances)
-        list.push(*inst);
+    for (const auto &inst : instances)
+        list.push(*inst.second);
     return gen::fidelityResults(std::move(list));
 }
 

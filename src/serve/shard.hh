@@ -103,7 +103,7 @@ struct SuiteStatus
     /** Serialized file content (dump(2) + trailing newline). */
     std::string serialize() const;
 
-    /** Parse a suite_status.json file; fatal() on malformed input. */
+    /** Parse a suite_status.json file; the merge checks its cover. */
     static SuiteStatus loadFrom(const std::string &path);
 
     void saveTo(const std::string &path) const;

@@ -439,20 +439,20 @@ struct ProfileHooks
     BSYN_FORCE_INLINE void
     onBranch(Local &, int pc, bool taken)
     {
+        using Branch = InstrumentedCounters::Branch;
         auto &b = c.branch[static_cast<size_t>(pc)];
-        ++b.executions;
+        uint8_t now = taken ? Branch::kTaken : Branch::kNotTaken;
         b.taken += taken;
-        if (b.hasLast && taken != (b.lastOutcome != 0))
-            ++b.transitions;
-        b.lastOutcome = taken;
-        b.hasLast = 1;
+        // Only the two outcomes XOR to 3: kNone XORs to the outcome.
+        b.transitions +=
+            (b.previous ^ now) == (Branch::kNotTaken ^ Branch::kTaken);
+        b.previous = now;
     }
 
   private:
     BSYN_FORCE_INLINE void
     note(int pc, uint64_t addr, uint32_t size)
     {
-        ++c.memAccesses[static_cast<size_t>(pc)];
         if (!cache.access(addr, size))
             ++c.memMisses[static_cast<size_t>(pc)];
     }
@@ -512,7 +512,6 @@ SliceRecorder::append(const InstrumentedCounters &c)
     size_t n = c.execCount.size();
     if (last_.execCount.size() != n) {
         last_.execCount.assign(n, 0);
-        last_.memAccesses.assign(n, 0);
         last_.memMisses.assign(n, 0);
         last_.branch.assign(n, InstrumentedCounters::Branch());
     }
@@ -521,13 +520,10 @@ SliceRecorder::append(const InstrumentedCounters &c)
         InstrumentedCounters::Branch &lb = last_.branch[pc];
         scratch_.push_back({static_cast<uint32_t>(pc),
                             c.execCount[pc] - last_.execCount[pc],
-                            c.memAccesses[pc] - last_.memAccesses[pc],
                             c.memMisses[pc] - last_.memMisses[pc],
-                            b.executions - lb.executions,
                             b.taken - lb.taken,
                             b.transitions - lb.transitions});
         last_.execCount[pc] = c.execCount[pc];
-        last_.memAccesses[pc] = c.memAccesses[pc];
         last_.memMisses[pc] = c.memMisses[pc];
         lb = b;
     };
@@ -571,9 +567,7 @@ SliceRecorder::coalesce()
                 PcDelta d = a[i++];
                 const PcDelta &e = b[j++];
                 d.exec += e.exec;
-                d.memAccesses += e.memAccesses;
                 d.memMisses += e.memMisses;
-                d.brExecutions += e.brExecutions;
                 d.brTaken += e.brTaken;
                 d.brTransitions += e.brTransitions;
                 scratch_.push_back(d);
@@ -617,7 +611,6 @@ executeInstrumentedSliced(const DecodedProgram &prog,
                           const ExecLimits &limits)
 {
     out.execCount.assign(prog.size(), 0);
-    out.memAccesses.assign(prog.size(), 0);
     out.memMisses.assign(prog.size(), 0);
     out.branch.assign(prog.size(), InstrumentedCounters::Branch());
     SliceRecorder rec(slice_opts, &slices);

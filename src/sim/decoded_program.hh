@@ -219,28 +219,28 @@ ExecStats execute(const DecodedProgram &prog,
  * mode (executeInstrumented). Everything the statistical profiler
  * derives from the ExecObserver callback stream is reconstructible
  * from these plus the program's static structure, so the instrumented
- * engine never pays a virtual call per retired instruction.
+ * engine never pays a virtual call per retired instruction. Accesses
+ * and branch executions are not counted: they follow from the exec
+ * counts (profile::derivedAccesses, derivedBranches).
  */
 struct InstrumentedCounters
 {
     /** Times the instruction at each PC retired. */
     std::vector<uint64_t> execCount;
 
-    /** Data-cache accesses / misses attributed to each PC (both pure
-     *  loads/stores and fused memory operands), measured against the
-     *  profiling cache fed in execution order. */
-    std::vector<uint64_t> memAccesses;
+    /** Data-cache misses attributed to each PC (both pure loads/stores
+     *  and fused memory operands), measured against the profiling
+     *  cache fed in execution order. */
     std::vector<uint64_t> memMisses;
 
     /** Per-CondBr outcome counters; a transition is an outcome that
      *  differs from the same branch's previous one. */
     struct Branch
     {
-        uint64_t executions = 0;
+        static constexpr uint8_t kNone = 0, kNotTaken = 1, kTaken = 2;
         uint64_t taken = 0;
         uint64_t transitions = 0;
-        uint8_t lastOutcome = 0;
-        uint8_t hasLast = 0;
+        uint8_t previous = kNone; ///< the last outcome, kNone before one
     };
     std::vector<Branch> branch;
 };
@@ -271,15 +271,13 @@ struct SliceOptions
     uint32_t maxSlices = 64; ///< rounded down to an even count, >= 2
 };
 
-/** One PC's events within one slice (the branch fields stay 0 at a PC
- *  that is no CondBr). */
+/** One PC's counters within one slice (the branch fields stay 0 at a
+ *  PC that is no CondBr). */
 struct PcDelta
 {
     uint32_t pc = 0;
     uint64_t exec = 0;
-    uint64_t memAccesses = 0;
     uint64_t memMisses = 0;
-    uint64_t brExecutions = 0;
     uint64_t brTaken = 0;
     uint64_t brTransitions = 0;
 };

@@ -3,6 +3,7 @@
 #include "isa/lowering.hh"
 #include "oracle/cache.hh"
 #include "oracle/interpreter.hh"
+#include "support/error.hh"
 
 namespace bsyn::oracle
 {
@@ -32,12 +33,14 @@ class ProfileObserver : public sim::ExecObserver
                 ++block;
             pcToBlock.push_back(block);
         }
+        size_t n = prog.code.size();
         m.blockExec.assign(static_cast<size_t>(block + 1), 0);
-        m.counters.execCount.assign(prog.code.size(), 0);
-        m.counters.memAccesses.assign(prog.code.size(), 0);
-        m.counters.memMisses.assign(prog.code.size(), 0);
-        m.counters.branch.assign(prog.code.size(),
-                                 sim::InstrumentedCounters::Branch());
+        m.counters.execCount.assign(n, 0);
+        m.counters.memMisses.assign(n, 0);
+        m.counters.branch.assign(n, sim::InstrumentedCounters::Branch());
+        accesses.assign(n, 0);
+        branchExecutions.assign(n, 0);
+        lastOutcome.assign(n, -1);
     }
 
     void
@@ -75,7 +78,7 @@ class ProfileObserver : public sim::ExecObserver
     onMemAccess(int pc, uint64_t addr, uint32_t size, bool,
                 uint64_t) override
     {
-        ++m.counters.memAccesses[static_cast<size_t>(pc)];
+        ++accesses[static_cast<size_t>(pc)];
         if (!cache.access(addr, size))
             ++m.counters.memMisses[static_cast<size_t>(pc)];
     }
@@ -85,12 +88,39 @@ class ProfileObserver : public sim::ExecObserver
     {
         // A transition is an outcome that differs from the previous.
         auto &b = m.counters.branch[static_cast<size_t>(pc)];
-        ++b.executions;
+        ++branchExecutions[static_cast<size_t>(pc)];
         b.taken += taken;
-        if (b.hasLast && taken != (b.lastOutcome != 0))
+        int &last = lastOutcome[static_cast<size_t>(pc)];
+        if (last >= 0 && taken != (last != 0))
             ++b.transitions;
-        b.lastOutcome = taken;
-        b.hasLast = 1;
+        last = taken;
+    }
+
+    /**
+     * The fused profiler counts neither accesses nor branch executions:
+     * profile::derivedAccesses and derivedBranches derive them from the
+     * exec counts. Panics unless what this run observed at every PC is
+     * what they derive.
+     */
+    void
+    checkDerivedCounts() const
+    {
+        for (size_t pc = 0; pc < prog.code.size(); ++pc) {
+            const MInst &mi = prog.code[pc];
+            uint64_t exec = m.counters.execCount[pc];
+            uint64_t derived[] = {profile::derivedAccesses(mi, exec),
+                                  profile::derivedBranches(mi, exec)};
+            if (accesses[pc] != derived[0] ||
+                branchExecutions[pc] != derived[1])
+                panic("reference profiler: pc %zu retired %llu times and "
+                      "made %llu accesses and %llu branch executions, "
+                      "not the derived %llu and %llu",
+                      pc, static_cast<unsigned long long>(exec),
+                      static_cast<unsigned long long>(accesses[pc]),
+                      static_cast<unsigned long long>(branchExecutions[pc]),
+                      static_cast<unsigned long long>(derived[0]),
+                      static_cast<unsigned long long>(derived[1]));
+        }
     }
 
   private:
@@ -99,6 +129,12 @@ class ProfileObserver : public sim::ExecObserver
     sim::SliceRecorder &recorder;
     profile::RunMeasurements &m;
     std::vector<int> pcToBlock;
+
+    // Counted here, from the callback stream, only to check the
+    // derivation: the measurements do not hold them.
+    std::vector<uint64_t> accesses;
+    std::vector<uint64_t> branchExecutions;
+    std::vector<int> lastOutcome; ///< -1 before the first outcome
 
     int lastBlock = -1;
     int lastPc = 0;
@@ -116,6 +152,7 @@ profileWorkload(const ir::Module &mod, const isa::MachineProgram &prog,
     ProfileObserver obs(prog, opts.profilingCache, rec, run);
     run.exec = executeReference(prog, &obs);
     rec.finish(run.counters);
+    obs.checkDerivedCounts();
     return profile::assembleProfile(mod, prog, run);
 }
 

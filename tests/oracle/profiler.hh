@@ -6,7 +6,9 @@
  * directly (with its own PC -> block map), not reconstructed from
  * per-PC counters, and memory accesses go through the reference cache.
  * profile::assembleProfile() turns the measurements into the profile,
- * so the fused profiler must produce the same bytes.
+ * so the fused profiler must produce the same bytes. It also counts
+ * each PC's accesses and branch executions, which the profile derives
+ * from the exec counts, and panics unless the derivation agrees.
  */
 
 #ifndef BSYN_ORACLE_PROFILER_HH

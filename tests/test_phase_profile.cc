@@ -347,7 +347,6 @@ checkSliceStream(const isa::MachineProgram &prog, const sim::SliceOptions &so,
     size_t n = prog.size();
     sim::InstrumentedCounters sum;
     sum.execCount.assign(n, 0);
-    sum.memAccesses.assign(n, 0);
     sum.memMisses.assign(n, 0);
     sum.branch.assign(n, sim::InstrumentedCounters::Branch());
     uint64_t boundary = 0;
@@ -364,9 +363,7 @@ checkSliceStream(const isa::MachineProgram &prog, const sim::SliceOptions &so,
             }
             EXPECT_NE(d.exec, 0u) << "slice " << s << " pc " << d.pc;
             sum.execCount[d.pc] += d.exec;
-            sum.memAccesses[d.pc] += d.memAccesses;
             sum.memMisses[d.pc] += d.memMisses;
-            sum.branch[d.pc].executions += d.brExecutions;
             sum.branch[d.pc].taken += d.brTaken;
             sum.branch[d.pc].transitions += d.brTransitions;
         }
@@ -379,10 +376,8 @@ checkSliceStream(const isa::MachineProgram &prog, const sim::SliceOptions &so,
         const auto &b = sum.branch[pc];
         const auto &a = agg.branch[pc];
         ASSERT_TRUE(sum.execCount[pc] == agg.execCount[pc] &&
-                    sum.memAccesses[pc] == agg.memAccesses[pc] &&
                     sum.memMisses[pc] == agg.memMisses[pc] &&
-                    b.executions == a.executions && b.taken == a.taken &&
-                    b.transitions == a.transitions)
+                    b.taken == a.taken && b.transitions == a.transitions)
             << "the slice deltas at pc " << pc
             << " do not sum to the aggregate counters";
     }

@@ -11,6 +11,10 @@
 #include "profile/profiler.hh"
 #include "support/error.hh"
 #include "support/rng.hh"
+#include "support/string_util.hh"
+#include "synth/consolidate.hh"
+#include "synth/profile_builder.hh"
+#include "workloads/suite.hh"
 
 namespace bsyn
 {
@@ -514,7 +518,9 @@ TEST(Sfgl, LoadsPreV2DescriptorsWithoutBranchFields)
     Json root = Json::object();
     root.set("blocks", std::move(blocks));
     root.set("loops", Json::array());
-    root.set("funcNames", Json::array());
+    Json names = Json::array();
+    names.push(Json("main")); // the function block 0 names
+    root.set("funcNames", std::move(names));
     Json mix = Json::array();
     for (size_t i = 0; i < profile::InstrMix::numClasses; ++i)
         mix.push(Json(0));
@@ -630,6 +636,23 @@ TEST(Sfgl, RejectsMismatchedIdsAndEnumsInEveryPhase)
          "sfgl.blocks[0].term: terminator 9 out of range (0..2)"},
         {[](profile::Sfgl &g) { g.blocks[0].code[0].cls = isa::MClass(40); },
          "sfgl.blocks[0].code[0]: instruction class 40 out of range"},
+        {[](profile::Sfgl &g) { g.blocks[0].code[0].op = ir::Opcode(200); },
+         "sfgl.blocks[0].code[0]: opcode 200 out of range"},
+        {[](profile::Sfgl &g) { g.blocks[0].code[0].type = ir::Type(9); },
+         "sfgl.blocks[0].code[0]: type 9 out of range (0..3)"},
+        {[](profile::Sfgl &g) { g.blocks[1].funcId = 1; },
+         "sfgl.blocks[1].func: function 1 out of range (1 functions)"},
+        {[](profile::Sfgl &g) { g.blocks[1].irBlockId = -1; },
+         "sfgl.blocks[1].irBlock: IR block -1 out of range"},
+        {[](profile::Sfgl &g) { g.loops[0].depth = 0; },
+         "sfgl.loops[0].depth: depth 0 out of range (1.."},
+        {[](profile::Sfgl &g) {
+             g.loops[0].depth = static_cast<int>(g.loops.size()) + 1;
+         },
+         "sfgl.loops[0].depth: depth " +
+             std::to_string(base.sfgl.loops.size() + 1) +
+             " out of range (1.." + std::to_string(base.sfgl.loops.size()) +
+             ")"},
     };
     for (const auto &[mutate, expected] : cases) {
         SCOPED_TRACE(expected);
@@ -819,6 +842,103 @@ TEST(ProfileCounts, AcceptsTransitionRatesUpToTwo)
             if (d.branchExecutions)
                 d.transitionRate = 1.5;
     EXPECT_EQ(loadError(prof), "");
+}
+
+// ------------------------------------------------------------------
+// Integral SFGL fields and mean iteration counts: each of these loaded
+// (an id or enum through std::llround, whose result for 1e300 is
+// unspecified and which rounds 1.5 to 2) and bsyn synth wrote a clone.
+// ------------------------------------------------------------------
+
+TEST(ProfileIntegers, RejectsAnAverageIterationCountBeyondExactDoubles)
+{
+    EXPECT_EQ(textLoadError(
+                  withFirst(loopProfile(), "avgIterations", "1e300")),
+              "fatal: sfgl.loops[0].avgIterations: 1e+300 is not a mean "
+              "count in [0, 2^53)");
+}
+
+TEST(ProfileIntegers, RejectsANegativeAverageIterationCount)
+{
+    EXPECT_EQ(textLoadError(withFirst(loopProfile(), "avgIterations", "-5")),
+              "fatal: sfgl.loops[0].avgIterations: -5 is not a mean count "
+              "in [0, 2^53)");
+}
+
+TEST(ProfileIntegers, RejectsALoopDepthBelowOne)
+{
+    auto prof = loopProfile();
+    EXPECT_EQ(textLoadError(withFirst(prof, "depth", "-1000000")),
+              "fatal: sfgl.loops[0].depth: depth -1000000 out of range "
+              "(1.." + std::to_string(prof.sfgl.loops.size()) + ")");
+}
+
+TEST(ProfileIntegers, RejectsAFunctionBeyondTheIntRange)
+{
+    EXPECT_EQ(textLoadError(withFirst(loopProfile(), "func", "1e300")),
+              "fatal: sfgl.blocks[0].func: 1e+300 is not an integer in "
+              "[-2^31, 2^31)");
+}
+
+TEST(ProfileIntegers, RejectsAFractionalOpcode)
+{
+    // The first number of the first descriptor of block 0.
+    std::string text = loopProfile().serialize();
+    size_t op = valueOffset(text, "code") + 2; // past "[["
+    text.replace(op, text.find(',', op) - op, "1.5");
+    EXPECT_EQ(textLoadError(text),
+              "fatal: sfgl.blocks[0].code[0].op: 1.5 is not an integer in "
+              "[-2^31, 2^31)");
+}
+
+TEST(ProfileIntegers, RejectsFractionalIdsAndEnums)
+{
+    auto prof = loopProfile();
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"id", "sfgl.blocks[0].id: 0.5 is not an integer"},
+        {"irBlock", "sfgl.blocks[0].irBlock: 0.5 is not an integer"},
+        {"term", "sfgl.blocks[0].term: 0.5 is not an integer"},
+        {"loop", "sfgl.blocks[0].loop: 0.5 is not an integer"},
+        {"header", "sfgl.loops[0].header: 0.5 is not an integer"},
+        {"parent", "sfgl.loops[0].parent: 0.5 is not an integer"},
+        {"depth", "sfgl.loops[0].depth: 0.5 is not an integer"},
+    };
+    for (const auto &[key, expected] : cases) {
+        SCOPED_TRACE(key);
+        EXPECT_EQ(textLoadError(withFirst(prof, key, "0.5"))
+                      .rfind("fatal: " + expected, 0),
+                  0u);
+    }
+}
+
+TEST(ProfileIntegers, EveryProfileBsynWritesLoads)
+{
+    // Suite and generated profiles, a ProfileBuilder profile, a
+    // consolidated one and both pre-v3 fixtures keep loading under the
+    // checks (their functions, IR blocks and depths are in range).
+    std::vector<profile::StatisticalProfile> profiles = {
+        loopProfile(),
+        profileSource(
+            workloads::findWorkload("dijkstra/small").source.c_str()),
+    };
+    synth::ProfileBuilder builder("spec");
+    int outer = builder.addLoop(40, 1);
+    synth::BlockSpec branchy;
+    branchy.endsInBranch = true;
+    builder.addBlock(builder.addLoop(20, 40, outer), branchy);
+    builder.addBlock(-1, synth::BlockSpec());
+    profiles.push_back(builder.build());
+    profiles.push_back(synth::consolidate({profiles[0], profiles[1]}));
+    for (const auto &p : profiles) {
+        SCOPED_TRACE(p.workloadName);
+        EXPECT_EQ(loadError(p), "");
+    }
+    for (const char *fixture : {"profile_v1.json", "profile_v2.json"}) {
+        SCOPED_TRACE(fixture);
+        EXPECT_EQ(textLoadError(readFile(std::string(BSYN_TEST_DATA_DIR) +
+                                         "/" + fixture)),
+                  "");
+    }
 }
 
 // ------------------------------------------------------------------

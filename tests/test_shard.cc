@@ -302,6 +302,19 @@ TEST(ShardMerge, RejectsIncompleteOrMismatchedShards)
     EXPECT_THROW(serve::mergeSuiteDirs(dir.sub("m4"),
                                        {dir.sub("s1"), dir.sub("plain")}),
                  FatalError);
+    // A status that claims shard 0 of 2 (indices are 1-based).
+    serve::SuiteStatus zero = serve::SuiteStatus::loadFrom(
+        dir.sub("s2") + "/" + serve::kSuiteStatusFile);
+    zero.shard.index = 0;
+    fs::create_directories(dir.sub("s0"));
+    zero.saveTo(dir.sub("s0") + "/" + serve::kSuiteStatusFile);
+    try {
+        serve::mergeSuiteDirs(dir.sub("m5"), {dir.sub("s1"), dir.sub("s0")});
+        ADD_FAILURE() << "shards 1/2 and 0/2 merged";
+    } catch (const FatalError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "fatal: suite merge: invalid shard 0/2");
+    }
 }
 
 /** What `bsyn fidelity --results-only --shard spec` writes for @p all
@@ -361,6 +374,84 @@ TEST(ShardMerge, FidelityMergeRejectsIncompleteOrMismatchedShards)
     Json plain = fidelityShard(all, {1, 1}, dir.sub("cache"));
     EXPECT_FALSE(plain.has("shard"));
     EXPECT_THROW(serve::mergeFidelityReports({s1, plain}), FatalError);
+}
+
+/** The two halves of a 2-way sharded fidelity report over smallBatch(),
+ *  scored once for the cases below. */
+const std::vector<Json> &
+fidelityHalves()
+{
+    static ScratchDir dir("shard_fidelity_halves");
+    static const std::vector<Json> halves = {
+        fidelityShard(smallBatch(), {1, 2}, dir.sub("cache")),
+        fidelityShard(smallBatch(), {2, 2}, dir.sub("cache"))};
+    return halves;
+}
+
+/** The FatalError merging @p reports raises ("" when they merge). */
+std::string
+fidelityMergeError(const std::vector<Json> &reports)
+{
+    try {
+        serve::mergeFidelityReports(reports);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** @p report with member @p key of its shard section set to @p value. */
+Json
+withShardField(Json report, const char *key, Json value)
+{
+    Json sh = report.get("shard");
+    sh.set(key, std::move(value));
+    report.set("shard", std::move(sh));
+    return report;
+}
+
+TEST(ShardMerge, FidelityMergeRejectsAnInstanceOutsideTheBatch)
+{
+    // The last instance of shard 2 renumbered to 99 used to merge, with
+    // its own index missing.
+    std::vector<Json> reports = fidelityHalves();
+    ASSERT_EQ(fidelityMergeError(reports), "");
+    const Json &list = reports[1].get("instances");
+    ASSERT_GT(list.size(), 0u);
+    Json renumbered = Json::array();
+    for (size_t i = 0; i < list.size(); ++i) {
+        Json inst = list.at(i);
+        if (i + 1 == list.size())
+            inst.set("index", Json(99));
+        renumbered.push(std::move(inst));
+    }
+    reports[1].set("instances", std::move(renumbered));
+    EXPECT_EQ(fidelityMergeError(reports),
+              "fatal: fidelity merge: index 99 out of range (the batch "
+              "has 6)");
+}
+
+TEST(ShardMerge, FidelityMergeRejectsAnInvalidShardSpec)
+{
+    // Shards 1/2 and 0/2 used to merge as a complete cover.
+    std::vector<Json> reports = fidelityHalves();
+    reports[1] = withShardField(reports[1], "index", Json(0));
+    EXPECT_EQ(fidelityMergeError(reports),
+              "fatal: fidelity merge: invalid shard 0/2");
+}
+
+TEST(ShardMerge, FidelityMergeRejectsAShardFieldOfTheWrongKind)
+{
+    // It used to panic in the DOM's kind check ("json: not a number").
+    std::vector<Json> reports = fidelityHalves();
+    reports[1] = withShardField(reports[1], "total", Json("lots"));
+    EXPECT_EQ(fidelityMergeError(reports),
+              "fatal: fidelity merge: input 2: shard.total: not a number");
+    reports = fidelityHalves();
+    reports[0] = withShardField(reports[0], "count", Json(1.5));
+    EXPECT_EQ(fidelityMergeError(reports),
+              "fatal: fidelity merge: input 1: shard.count: 1.5 is not a "
+              "count");
 }
 
 } // namespace
