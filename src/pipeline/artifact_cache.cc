@@ -1,14 +1,12 @@
 #include "pipeline/artifact_cache.hh"
 
-#include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <unistd.h>
 
 #include "support/error.hh"
 #include "support/hash.hh"
+#include "support/string_util.hh"
 
 namespace fs = std::filesystem;
 
@@ -31,20 +29,9 @@ ArtifactCache::key(const std::string &stage,
                    const std::vector<std::string> &parts)
 {
     Sha256 ctx;
-    auto feed = [&](const std::string &s) {
-        // Length-prefix each part so ("ab","c") != ("a","bc"). The
-        // length is serialized big-endian so keys are identical across
-        // host endianness (the cache is a cross-machine artifact).
-        uint64_t n = s.size();
-        uint8_t lenb[8];
-        for (int i = 0; i < 8; ++i)
-            lenb[i] = static_cast<uint8_t>(n >> (8 * (7 - i)));
-        ctx.update(lenb, sizeof(lenb));
-        ctx.update(s);
-    };
-    feed(stage);
+    ctx.updateFramed(stage);
     for (const auto &p : parts)
-        feed(p);
+        ctx.updateFramed(p);
     return ctx.hexDigest();
 }
 
@@ -82,27 +69,7 @@ ArtifactCache::store(const std::string &key, const std::string &text) const
     if (ec)
         fatal("cannot create cache subdirectory for '%s': %s",
               final_path.c_str(), ec.message().c_str());
-
-    // Unique temp name per writer, then an atomic rename: readers (and
-    // concurrent writers of the same key) see either nothing or a
-    // complete entry.
-    static std::atomic<uint64_t> counter{0};
-    std::ostringstream tmp;
-    tmp << final_path << ".tmp." << ::getpid() << "."
-        << counter.fetch_add(1);
-    {
-        std::ofstream out(tmp.str(), std::ios::binary | std::ios::trunc);
-        if (!out)
-            fatal("cannot write cache entry '%s'", tmp.str().c_str());
-        out << text;
-        if (!out.good())
-            fatal("short write to cache entry '%s'", tmp.str().c_str());
-    }
-    fs::rename(tmp.str(), final_path, ec);
-    if (ec) {
-        fs::remove(tmp.str(), ec);
-        fatal("cannot finalize cache entry '%s'", final_path.c_str());
-    }
+    publishFile(final_path, text);
 }
 
 } // namespace bsyn::pipeline

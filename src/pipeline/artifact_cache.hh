@@ -21,10 +21,11 @@ namespace bsyn::pipeline
 
 /**
  * Disk-backed artifact store keyed by content hash. Thread-safe: loads
- * and stores may run concurrently from pool workers; stores are
- * write-to-temp + atomic rename, so concurrent processes sharing one
- * cache directory never observe torn entries. A default-constructed
- * cache is disabled (every load misses, stores are dropped).
+ * and stores may run concurrently from pool workers; stores go through
+ * publishFile (write-to-temp + atomic rename), so concurrent processes
+ * sharing one cache directory never observe torn entries. A
+ * default-constructed cache is disabled (every load misses, stores are
+ * dropped).
  */
 class ArtifactCache
 {
@@ -41,7 +42,8 @@ class ArtifactCache
 
     /**
      * Build a cache key: SHA-256 over the stage tag and every input
-     * part, length-prefixed so distinct part lists never collide.
+     * part, each framed by Sha256::updateFramed so distinct part lists
+     * never collide.
      */
     static std::string key(const std::string &stage,
                            const std::vector<std::string> &parts);

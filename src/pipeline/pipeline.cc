@@ -7,6 +7,7 @@
 #include "obs/trace.hh"
 #include "sim/core_model.hh"
 #include "sim/decoded_program.hh"
+#include "sim/timed_core.hh"
 #include "support/thread_pool.hh"
 
 namespace bsyn::pipeline
@@ -110,10 +111,14 @@ timeOnMachine(const std::string &source, const std::string &name,
         prev = b;
     }
 
-    auto phased = sim::simulateTimingPhased(decoded, machine.core,
-                                            out.cutInstructions);
-    out.stats = phased.stats;
-    out.cutCycles = std::move(phased.checkpointCycles);
+    // The checkpoints ride the scheduler's retire path, so the timing
+    // equals sim::simulateTiming's over the same decode.
+    sim::TimedProgram timed(decoded, machine.core);
+    sim::TimedCore core(machine.core);
+    core.setCheckpoints(out.cutInstructions);
+    sim::executeOnCore(decoded, timed, core);
+    out.stats = core.finish();
+    out.cutCycles = core.checkpointCycles();
     // A boundary past the run's end never fires; truncate the request
     // list to the checkpoints actually taken so the two stay parallel.
     if (out.cutCycles.size() < out.cutInstructions.size())

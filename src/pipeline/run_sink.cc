@@ -27,7 +27,7 @@ RunStatus
 runStatusFromJson(const Json &j)
 {
     RunStatus st;
-    st.index = static_cast<size_t>(j.get("index").asInt());
+    st.index = j.getCount("index");
     st.workload = j.get("workload").asString();
     st.ok = j.get("ok").asBool();
     if (j.has("error"))

@@ -39,19 +39,19 @@ benchmarkFromJson(const Json &j)
     synth::SyntheticBenchmark b;
     b.name = j.get("name").asString();
     b.cSource = j.get("cSource").asString();
-    b.reductionFactor =
-        static_cast<uint64_t>(j.get("reductionFactor").asNumber());
-    if (j.has("phases"))
-        b.phases = static_cast<uint32_t>(j.get("phases").asNumber());
+    b.reductionFactor = j.getCount("reductionFactor");
+    if (j.has("phases")) {
+        uint64_t phases = j.getCount("phases");
+        if (phases == 0 || phases > UINT32_MAX)
+            fatal("phases: %llu is not in [1, 2^32)",
+                  static_cast<unsigned long long>(phases));
+        b.phases = static_cast<uint32_t>(phases);
+    }
     const Json &ps = j.get("patternStats");
-    b.patternStats.coveredInstrs =
-        static_cast<uint64_t>(ps.get("coveredInstrs").asNumber());
-    b.patternStats.uncoveredInstrs =
-        static_cast<uint64_t>(ps.get("uncoveredInstrs").asNumber());
-    b.patternStats.statements =
-        static_cast<uint64_t>(ps.get("statements").asNumber());
-    b.patternStats.compensationStmts =
-        static_cast<uint64_t>(ps.get("compensationStmts").asNumber());
+    b.patternStats.coveredInstrs = ps.getCount("coveredInstrs");
+    b.patternStats.uncoveredInstrs = ps.getCount("uncoveredInstrs");
+    b.patternStats.statements = ps.getCount("statements");
+    b.patternStats.compensationStmts = ps.getCount("compensationStmts");
     return b;
 }
 

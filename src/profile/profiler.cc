@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <set>
 
 #include "ir/cfg.hh"
 #include "ir/dominators.hh"
@@ -402,25 +401,8 @@ annotateDynamic(Sfgl &sfgl, const RunMeasurements &dyn,
         }
     }
 
-    // Loop entry counts and average iterations.
-    for (auto &l : sfgl.loops) {
-        std::set<int> members(l.blocks.begin(), l.blocks.end());
-        uint64_t entries = 0;
-        for (const auto &b : sfgl.blocks) {
-            if (members.count(b.id))
-                continue;
-            for (const auto &e : b.succs)
-                if (e.to == l.header)
-                    entries += e.count;
-        }
-        uint64_t header_exec =
-            sfgl.blocks[static_cast<size_t>(l.header)].execCount;
-        if (entries == 0)
-            entries = header_exec > 0 ? 1 : 0;
-        l.entries = entries;
-        l.avgIterations =
-            entries ? double(header_exec) / double(entries) : 0.0;
-    }
+    for (auto &l : sfgl.loops)
+        sfgl.countEntries(l);
 }
 
 StatisticalProfile
@@ -495,17 +477,8 @@ assemble(const StaticSfgl &st, const isa::MachineProgram &prog,
         }
     }
 
-    // A single phase always mirrors the aggregate exactly (matching
-    // what deserializing the compact single-phase JSON materializes).
-    if (profile.phases.empty()) {
-        PhaseProfile only;
-        only.dynamicInstructions = profile.dynamicInstructions;
-        only.firstSlice = 0;
-        only.sliceCount = profile.sliceCount ? profile.sliceCount : 1;
-        only.mix = profile.mix;
-        only.sfgl = profile.sfgl;
-        profile.phases.push_back(std::move(only));
-    }
+    if (profile.phases.empty())
+        profile.phases.push_back(profile.wholeRun());
     return profile;
 }
 

@@ -1,6 +1,5 @@
 #include "profile/sfgl.hh"
 
-#include <charconv>
 #include <climits>
 
 #include "profile/instr_mix.hh"
@@ -36,6 +35,25 @@ Sfgl::dynamicInstructions() const
     for (const auto &b : blocks)
         total += b.execCount * b.code.size();
     return total;
+}
+
+void
+Sfgl::countEntries(SfglLoop &l) const
+{
+    std::vector<bool> member(blocks.size());
+    for (int b : l.blocks)
+        member[static_cast<size_t>(b)] = true;
+    uint64_t entries = 0;
+    for (size_t b = 0; b < blocks.size(); ++b)
+        if (!member[b])
+            for (const SfglEdge &e : blocks[b].succs)
+                if (e.to == l.header)
+                    entries += e.count;
+    uint64_t header = blocks[static_cast<size_t>(l.header)].execCount;
+    if (entries == 0 && header > 0)
+        entries = 1;
+    l.entries = entries;
+    l.avgIterations = entries ? double(header) / double(entries) : 0.0;
 }
 
 namespace
@@ -81,7 +99,7 @@ integer(double v, const Path &path)
 {
     if (v == std::floor(v) && v >= INT_MIN && v <= INT_MAX)
         return static_cast<int>(v);
-    rejectProfileValue(v, path(), "an integer in [-2^31, 2^31)");
+    rejectValue(v, path(), "an integer in [-2^31, 2^31)");
 }
 
 /** The id of entry @p i of a table, at @p cur, which must be @p i. */
@@ -233,8 +251,8 @@ readLoop(JsonCursor &cur, size_t i)
           case 6:
             l.avgIterations = cur.number();
             if (!(l.avgIterations >= 0 && l.avgIterations < 0x1p53))
-                rejectProfileValue(l.avgIterations, here(),
-                                   "a mean count in [0, 2^53)");
+                rejectValue(l.avgIterations, here(),
+                            "a mean count in [0, 2^53)");
             break;
         }
     });
@@ -258,15 +276,6 @@ writeDescriptor(std::string &out, const InstrDescriptor &d)
 }
 
 } // namespace
-
-void
-rejectProfileValue(double v, const std::string &field, const char *what)
-{
-    // v as the shortest text that reads back as it: -1, 1.5, 1e+300.
-    char text[32];
-    *std::to_chars(text, text + sizeof text - 1, v).ptr = '\0';
-    fatal("%s: %s is not %s", field.c_str(), text, what);
-}
 
 void
 Sfgl::writeJson(std::string &out) const

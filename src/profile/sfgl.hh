@@ -99,6 +99,13 @@ struct Sfgl
     /** Total dynamic instructions including control. */
     uint64_t dynamicInstructions() const;
 
+    /** Set loop @p l's entries, the counts of the edges into its
+     *  header from blocks outside it, and its avgIterations, header
+     *  executions per entry. A header that ran without such an edge
+     *  counts one entry (a loop at a function's entry, or one whose
+     *  entry edges scaled away). */
+    void countEntries(SfglLoop &l) const;
+
     /** Append the graph as JSON: blocks, loops, funcNames. */
     void writeJson(std::string &out) const;
     /** Read the graph at @p cur ("sfgl", "phases[1].sfgl"). Every id,
@@ -106,29 +113,6 @@ struct Sfgl
      *  JSON path. */
     static Sfgl readJson(JsonCursor &cur);
 };
-
-/**
- * Reports that @p v, read from the profile field @p field, is not
- * @p what ("a count"): "dynamicInstructions: -1 is not a count".
- * Always throws FatalError.
- */
-[[noreturn]] void rejectProfileValue(double v, const std::string &field,
-                                     const char *what);
-
-/**
- * @p v, read from a profile, as a count: finite, integral and in
- * [0, 2^53), where a double holds every integer exactly. Anything else
- * is fatal, naming the field @p path() — built only on failure, so a
- * valid load pays for no strings.
- */
-template <typename Path>
-uint64_t
-checkedCount(double v, const Path &path)
-{
-    if (std::isfinite(v) && v >= 0 && v < 0x1p53 && v == std::floor(v))
-        return static_cast<uint64_t>(v);
-    rejectProfileValue(v, path(), "a count");
-}
 
 /** @p v, read from a profile, as a taken rate: finite and within
  *  [0, 1]. */
@@ -138,7 +122,7 @@ checkedRate(double v, const Path &path)
 {
     if (std::isfinite(v) && v >= 0 && v <= 1)
         return v;
-    rejectProfileValue(v, path(), "a rate in [0, 1]");
+    rejectValue(v, path(), "a rate in [0, 1]");
 }
 
 /**
@@ -154,7 +138,7 @@ checkedTransitionRate(double v, const Path &path)
 {
     if (std::isfinite(v) && v >= 0 && v <= 2)
         return v;
-    rejectProfileValue(v, path(), "a transition rate in [0, 2]");
+    rejectValue(v, path(), "a transition rate in [0, 2]");
 }
 
 } // namespace bsyn::profile

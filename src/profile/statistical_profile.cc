@@ -108,16 +108,20 @@ StatisticalProfile::deserialize(const std::string &text)
         }
     });
     cur.finish();
-    if (p.phases.empty()) {
-        PhaseProfile only;
-        only.dynamicInstructions = p.dynamicInstructions;
-        only.firstSlice = 0;
-        only.sliceCount = p.sliceCount ? p.sliceCount : 1;
-        only.mix = p.mix;
-        only.sfgl = p.sfgl;
-        p.phases.push_back(std::move(only));
-    }
+    if (p.phases.empty())
+        p.phases.push_back(p.wholeRun());
     return p;
+}
+
+PhaseProfile
+StatisticalProfile::wholeRun() const
+{
+    PhaseProfile only;
+    only.dynamicInstructions = dynamicInstructions;
+    only.sliceCount = sliceCount ? sliceCount : 1;
+    only.mix = mix;
+    only.sfgl = sfgl;
+    return only;
 }
 
 void

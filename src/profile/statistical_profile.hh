@@ -59,6 +59,10 @@ struct StatisticalProfile
      *  one phase. */
     std::vector<PhaseProfile> phases;
 
+    /** The one phase profiling and loading give a profile without
+     *  detected phases: the whole run, mirroring the aggregate. */
+    PhaseProfile wholeRun() const;
+
     size_t phaseCount() const { return phases.empty() ? 1 : phases.size(); }
     bool multiPhase() const { return phases.size() > 1; }
 

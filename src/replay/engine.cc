@@ -220,6 +220,10 @@ runReplay(const ReplayOptions &opts)
     if (!(opts.durationS > 0.0) || opts.durationS > 3600.0)
         fatal("replay: duration %.3fs is out of range (0, 3600]",
               opts.durationS);
+    // The spool jobs and the report carry the seed as a JSON number.
+    if (!isCount(double(opts.seed)))
+        fatal("replay: seed %llu is not below 2^53",
+              static_cast<unsigned long long>(opts.seed));
 
     std::vector<uint64_t> offsets =
         schedule.arrivals(opts.durationS, opts.seed);

@@ -1,8 +1,6 @@
 #include "serve/merge.hh"
 
 #include <algorithm>
-#include <climits>
-#include <cmath>
 #include <filesystem>
 #include <set>
 
@@ -81,17 +79,58 @@ member(const Json &obj, size_t input, const std::string &path,
     return obj.get(key);
 }
 
-/** Member @p key as member() reads it, which must be a count: an
- *  integer in [0, 2^53). */
+/** Member @p key as member() reads it, which must be a count. */
 size_t
 countMember(const Json &obj, size_t input, const std::string &path,
             const char *key)
 {
     double v = member(obj, input, path, key, Json::Kind::Number).asNumber();
-    if (!(v >= 0 && v < 0x1p53 && v == std::floor(v)))
-        fatal("fidelity merge: input %zu: %s.%s: %g is not a count",
-              input + 1, path.c_str(), key, v);
-    return static_cast<size_t>(v);
+    return checkedCount(v, [&] {
+        return strprintf("fidelity merge: input %zu: %s.%s", input + 1,
+                         path.c_str(), key);
+    });
+}
+
+/**
+ * Kind-check every field of the instance at @p path of merge input
+ * @p input, as FidelityReport::resultsJson writes it (schema
+ * bsyn.fidelity.v4): gen::fidelityResults reads them unchecked.
+ */
+void
+checkInstance(const Json &inst, size_t input, const std::string &path)
+{
+    using K = Json::Kind;
+    auto numbers = [&](const Json &obj, const std::string &at,
+                       std::initializer_list<const char *> keys) {
+        for (const char *key : keys)
+            member(obj, input, at, key, K::Number);
+    };
+    member(inst, input, path, "workload", K::String);
+    member(inst, input, path, "family", K::String);
+    if (!member(inst, input, path, "ok", K::Bool).asBool()) {
+        member(inst, input, path, "error", K::String);
+        return;
+    }
+    const Json &metrics = member(inst, input, path, "metrics", K::Object);
+    for (const std::string &name : metrics.keys())
+        numbers(member(metrics, input, path + ".metrics", name.c_str(),
+                       K::Object),
+                path + ".metrics." + name, {"original", "clone", "relError"});
+    numbers(inst, path, {"meanRelError", "maxRelError"});
+    std::string at = path + ".phases";
+    const Json &phases = member(inst, input, path, "phases", K::Object);
+    countMember(phases, input, at, "original");
+    countMember(phases, input, at, "clone");
+    numbers(phases, at, {"worstMixError", "meanMixError", "worstCpiError"});
+    const Json &list = member(phases, input, at, "perPhase", K::Array);
+    for (size_t k = 0; k < list.size(); ++k) {
+        std::string ph = strprintf("%s.perPhase[%zu]", at.c_str(), k);
+        countMember(list.at(k), input, ph, "original");
+        countMember(list.at(k), input, ph, "clone");
+        numbers(list.at(k), ph,
+                {"mixError", "missRateError", "takenRateError",
+                 "originalCpi", "cloneCpi", "cpiError"});
+    }
 }
 
 } // namespace
@@ -200,13 +239,10 @@ mergeFidelityReports(const std::vector<Json> &shardReports)
                   "produced with --shard?)");
         const Json &sh = rep.get("shard");
         SuiteStatus part;
-        // A count beyond unsigned fails the spec check as 0.
-        auto specField = [&](const char *key) {
-            size_t v = countMember(sh, r, "shard", key);
-            return v > UINT_MAX ? 0u : static_cast<unsigned>(v);
-        };
-        part.shard.index = specField("index");
-        part.shard.count = specField("count");
+        part.shard.index =
+            ShardSpec::field(countMember(sh, r, "shard", "index"));
+        part.shard.count =
+            ShardSpec::field(countMember(sh, r, "shard", "count"));
         part.total = countMember(sh, r, "shard", "total");
         part.suiteHash =
             member(sh, r, "shard", "suiteHash", Json::Kind::String)
@@ -214,8 +250,9 @@ mergeFidelityReports(const std::vector<Json> &shardReports)
         const Json &list =
             member(rep, r, "", "instances", Json::Kind::Array);
         for (size_t i = 0; i < list.size(); ++i) {
-            size_t index = countMember(
-                list.at(i), r, strprintf("instances[%zu]", i), "index");
+            std::string at = strprintf("instances[%zu]", i);
+            size_t index = countMember(list.at(i), r, at, "index");
+            checkInstance(list.at(i), r, at);
             part.workloads.emplace_back().index = index;
             instances.emplace_back(index, &list.at(i));
         }

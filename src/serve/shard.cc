@@ -87,16 +87,8 @@ std::string
 suiteHashOf(const std::vector<workloads::Workload> &all)
 {
     Sha256 ctx;
-    for (const auto &w : all) {
-        // Length-prefix so ("ab","c") and ("a","bc") cannot collide.
-        std::string name = w.name();
-        uint64_t n = name.size();
-        uint8_t lenb[8];
-        for (int i = 0; i < 8; ++i)
-            lenb[i] = static_cast<uint8_t>(n >> (8 * (7 - i)));
-        ctx.update(lenb, sizeof(lenb));
-        ctx.update(name);
-    }
+    for (const auto &w : all)
+        ctx.updateFramed(w.name());
     return ctx.hexDigest();
 }
 
@@ -144,9 +136,9 @@ SuiteStatus::fromJson(const Json &j)
               j.get("schema").asString().c_str());
     SuiteStatus s;
     const Json &sh = j.get("shard");
-    s.shard.index = static_cast<unsigned>(sh.get("index").asInt());
-    s.shard.count = static_cast<unsigned>(sh.get("count").asInt());
-    s.total = static_cast<size_t>(j.get("total").asInt());
+    s.shard.index = ShardSpec::field(sh.getCount("index"));
+    s.shard.count = ShardSpec::field(sh.getCount("count"));
+    s.total = j.getCount("total");
     s.suiteHash = j.get("suiteHash").asString();
     const Json &list = j.get("workloads");
     for (size_t i = 0; i < list.size(); ++i)

@@ -18,6 +18,7 @@
 #ifndef BSYN_SERVE_SHARD_HH
 #define BSYN_SERVE_SHARD_HH
 
+#include <climits>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,13 @@ struct ShardSpec
     unsigned count = 1;
 
     bool isAll() const { return count == 1; }
+
+    /** A shard index or count read from a document: a count beyond
+     *  unsigned reads as 0, which every spec check rejects. */
+    static unsigned field(uint64_t v)
+    {
+        return v > UINT_MAX ? 0u : static_cast<unsigned>(v);
+    }
 
     /** "2/3" */
     std::string str() const;

@@ -1,12 +1,9 @@
 #include "serve/spool.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <thread>
-#include <unistd.h>
 
 #include "support/error.hh"
 #include "support/string_util.hh"
@@ -18,30 +15,6 @@ namespace bsyn::serve
 
 namespace
 {
-
-/** Write @p text to @p path atomically (unique temp + rename), so a
- *  concurrent reader sees either nothing or the whole file. */
-void
-atomicWrite(const std::string &path, const std::string &text)
-{
-    static std::atomic<uint64_t> counter{0};
-    std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                      std::to_string(counter.fetch_add(1));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            fatal("cannot write spool file '%s'", tmp.c_str());
-        out << text;
-        if (!out.good())
-            fatal("short write to spool file '%s'", tmp.c_str());
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        fatal("cannot finalize spool file '%s'", path.c_str());
-    }
-}
 
 /** Sorted job ids of the "<id>.json" files directly under @p dir. */
 std::vector<std::string>
@@ -104,9 +77,8 @@ Job::fromJson(const Json &j)
     job.id = j.get("id").asString();
     job.kind = j.get("kind").asString();
     job.workload = j.get("workload").asString();
-    job.seed = static_cast<uint64_t>(j.get("seed").asNumber());
-    job.targetInstr =
-        static_cast<uint64_t>(j.get("targetInstr").asNumber());
+    job.seed = j.getCount("seed");
+    job.targetInstr = j.getCount("targetInstr");
     if (j.has("timing"))
         job.timing = j.get("timing").asBool();
     job.validate();
@@ -125,6 +97,13 @@ Job::validate() const
               kind.c_str());
     if (workload.empty())
         fatal("job '%s' names no workload", id.c_str());
+    // A job file holds numbers as doubles, which round above 2^53.
+    const std::pair<const char *, uint64_t> counts[] = {
+        {"seed", seed}, {"targetInstr", targetInstr}};
+    for (const auto &[name, v] : counts)
+        if (!isCount(double(v)))
+            fatal("job '%s': %s %llu is not below 2^53", id.c_str(), name,
+                  static_cast<unsigned long long>(v));
 }
 
 Spool::Spool(std::string root) : root_(std::move(root))
@@ -179,7 +158,7 @@ Spool::submit(const Job &job) const
     if (idExists(job.id))
         fatal("job id '%s' already exists in spool '%s'", job.id.c_str(),
               root_.c_str());
-    atomicWrite(newPath(job.id), job.toJson().dump(2) + "\n");
+    publishFile(newPath(job.id), job.toJson().dump(2) + "\n");
 }
 
 std::vector<std::string>
@@ -243,7 +222,7 @@ Spool::finish(const std::string &id, const Json &status) const
     // Status first, then retire the claim: a crash between the two
     // leaves a claimed file with a status — visibly done — rather than
     // a result that vanished.
-    atomicWrite(donePath(id), status.dump(2) + "\n");
+    publishFile(donePath(id), status.dump(2) + "\n");
     std::error_code ec;
     fs::remove(claimedPath(id), ec);
 }
@@ -276,13 +255,13 @@ Spool::publish(const std::string &name, const std::string &text) const
     if (name.empty() || name.find('/') != std::string::npos)
         fatal("spool publish name '%s' must be a plain filename",
               name.c_str());
-    atomicWrite(root_ + "/" + name, text);
+    publishFile(root_ + "/" + name, text);
 }
 
 void
 Spool::requestStop() const
 {
-    atomicWrite(root_ + "/stop", "stop\n");
+    publishFile(root_ + "/stop", "stop\n");
 }
 
 bool

@@ -13,8 +13,8 @@
  *   stop                drain flag: workers finish the current job,
  *                       claim nothing more, and exit
  *
- * Every state transition is a single atomic rename or
- * write-temp-then-rename, so observers never see torn files and two
+ * Every state transition is a single atomic rename or a publishFile
+ * (write-temp-then-rename), so observers never see torn files and two
  * workers can never both own one job.
  */
 
@@ -58,7 +58,8 @@ struct Job
     Json toJson() const;
     static Job fromJson(const Json &j);
 
-    /** fatal() unless id/kind/workload are well-formed. */
+    /** fatal() unless id/kind/workload are well-formed and seed and
+     *  targetInstr are counts a job file holds exactly (below 2^53). */
     void validate() const;
 };
 

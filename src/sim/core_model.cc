@@ -112,19 +112,4 @@ simulateTiming(const DecodedProgram &prog, const TimedProgram &timed,
     return core.finish();
 }
 
-PhasedTimingStats
-simulateTimingPhased(const DecodedProgram &prog, const CoreConfig &cfg,
-                     std::vector<uint64_t> boundaries,
-                     const ExecLimits &limits)
-{
-    TimedProgram timed(prog, cfg);
-    TimedCore core(cfg);
-    core.setCheckpoints(std::move(boundaries));
-    executeOnCore(prog, timed, core, limits);
-    PhasedTimingStats out;
-    out.stats = core.finish();
-    out.checkpointCycles = core.checkpointCycles();
-    return out;
-}
-
 } // namespace bsyn::sim

@@ -143,27 +143,6 @@ TimingStats simulateTiming(const DecodedProgram &prog,
                            const CoreConfig &cfg,
                            const ExecLimits &limits = {});
 
-/** Timing stats plus the cycle count observed at each requested
- *  retired-instruction boundary (TimedCore::setCheckpoints). */
-struct PhasedTimingStats
-{
-    TimingStats stats;
-    /** checkpointCycles[i] = cycles after boundaries[i] retires; one
-     *  entry per boundary actually reached before the run ended. */
-    std::vector<uint64_t> checkpointCycles;
-};
-
-/** Timed run that records the cycle count at each retired-instruction
- *  boundary — the per-phase CPI primitive (fidelity scoring cuts both
- *  the original and the clone at the original's phase boundaries).
- *  Checkpoints ride the scheduler's retire path, so the
- *  timing result is identical to simulateTiming over the same decode.
- *  @p boundaries must be strictly increasing. */
-PhasedTimingStats
-simulateTimingPhased(const DecodedProgram &prog, const CoreConfig &cfg,
-                     std::vector<uint64_t> boundaries,
-                     const ExecLimits &limits = {});
-
 } // namespace bsyn::sim
 
 #endif // BSYN_SIM_CORE_MODEL_HH

@@ -27,6 +27,18 @@ class Sha256
     void update(const void *data, size_t len);
     void update(const std::string &s) { update(s.data(), s.size()); }
 
+    /** Absorb @p s prefixed by its length as 8 big-endian bytes, so
+     *  ("ab", "c") and ("a", "bc") differ and every host agrees: the
+     *  framing of the artifact-cache keys and of the suite hash. */
+    void updateFramed(const std::string &s)
+    {
+        uint8_t len[8];
+        for (int i = 0; i < 8; ++i)
+            len[i] = uint8_t(uint64_t(s.size()) >> (56 - 8 * i));
+        update(len, sizeof len);
+        update(s);
+    }
+
     /** Finish and return the digest as 64 lowercase hex characters.
      *  The context must not be updated afterwards. */
     std::string hexDigest();

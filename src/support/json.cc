@@ -45,6 +45,20 @@ Json::asInt() const
     return static_cast<int64_t>(std::llround(asNumber()));
 }
 
+uint64_t
+Json::getCount(const std::string &key) const
+{
+    return checkedCount(get(key).asNumber(), [&key] { return key; });
+}
+
+void
+rejectValue(double v, const std::string &field, const char *what)
+{
+    char text[32];
+    *std::to_chars(text, text + sizeof text - 1, v).ptr = '\0';
+    fatal("%s: %s is not %s", field.c_str(), text, what);
+}
+
 const std::string &
 Json::asString() const
 {

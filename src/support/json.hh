@@ -12,6 +12,7 @@
 #ifndef BSYN_SUPPORT_JSON_HH
 #define BSYN_SUPPORT_JSON_HH
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -51,6 +52,9 @@ class Json
     double asNumber() const;
     /** @return the numeric payload truncated to int64. */
     int64_t asInt() const;
+    /** @return member @p key, a number as for asNumber(), as a count;
+     *  fatal() otherwise: "<key>: -1 is not a count". */
+    uint64_t getCount(const std::string &key) const;
     /** @return the string payload; panics on kind mismatch. */
     const std::string &asString() const;
 
@@ -86,6 +90,32 @@ class Json
     // Keep insertion order for reproducible round-trips.
     std::vector<std::pair<std::string, Json>> fields;
 };
+
+/** Whether @p v is a count: an integer in [0, 2^53), where a double,
+ *  and so a JSON number, holds every integer exactly. Every count a
+ *  bsyn document carries must be one. */
+inline bool
+isCount(double v)
+{
+    return v >= 0 && v < 0x1p53 && v == std::floor(v);
+}
+
+/** Throw a FatalError "<field>: <v> is not <what>", with @p v as the
+ *  shortest text that reads back as it: "total: -1 is not a count". */
+[[noreturn]] void rejectValue(double v, const std::string &field,
+                              const char *what);
+
+/** @p v as a count; anything else is fatal, naming the field
+ *  @p path() — built only on failure, so a valid read pays for no
+ *  strings. */
+template <typename Path>
+uint64_t
+checkedCount(double v, const Path &path)
+{
+    if (isCount(v))
+        return static_cast<uint64_t>(v);
+    rejectValue(v, path(), "a count");
+}
 
 /**
  * Append @p d as every bsyn document writes a number: as an integer

@@ -1,10 +1,13 @@
 #include "support/string_util.hh"
 
+#include <atomic>
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <unistd.h>
 
 #include "support/error.hh"
 
@@ -97,6 +100,22 @@ writeFile(const std::string &path, const std::string &content)
     out << content;
     if (!out)
         fatal("failed writing file '%s'", path.c_str());
+}
+
+void
+publishFile(const std::string &path, const std::string &content)
+{
+    static std::atomic<uint64_t> counter{0};
+    std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                      std::to_string(counter.fetch_add(1));
+    writeFile(tmp, content);
+    std::error_code ec, ignored;
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) {
+        std::filesystem::remove(tmp, ignored);
+        fatal("cannot publish file '%s': %s", path.c_str(),
+              ec.message().c_str());
+    }
 }
 
 } // namespace bsyn

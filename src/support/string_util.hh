@@ -35,6 +35,15 @@ std::string readFile(const std::string &path);
 /** Write a string to a file; fatal() on failure. */
 void writeFile(const std::string &path, const std::string &content);
 
+/**
+ * Write @p content to @p path atomically: into a temp file beside it
+ * named "<path>.tmp.<pid>.<n>", unique per writer, then renamed over
+ * @p path, so a concurrent reader sees the old file or the whole new
+ * one and two writers never tear each other's bytes. fatal() on
+ * failure; a failed rename removes the temp file.
+ */
+void publishFile(const std::string &path, const std::string &content);
+
 } // namespace bsyn
 
 #endif // BSYN_SUPPORT_STRING_UTIL_HH

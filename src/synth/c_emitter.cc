@@ -19,8 +19,8 @@ constexpr long kMaxPeriod = 64;
 class Emitter
 {
   public:
-    Emitter(std::vector<EmitPhase> ph, Rng &r, bool use_patterns)
-        : phases(std::move(ph)), rng(r), pattern(r, streams, use_patterns)
+    Emitter(const std::vector<EmitPhase> &ph, Rng &r, bool use_patterns)
+        : phases(ph), rng(r), pattern(r, streams, use_patterns)
     {}
 
     EmitResult
@@ -29,13 +29,12 @@ class Emitter
         // Emit phase by phase in profile order; within a phase, in
         // skeleton order. Each function's statements come from its own
         // phase's scaled SFGL, but all phases draw from the shared
-        // stream plan / rng, so a single-phase run is byte-identical
-        // to the pre-phase emitter.
+        // stream plan / rng.
         std::vector<std::string> func_bodies;
         std::vector<std::string> func_names;
         for (const EmitPhase &ph : phases) {
-            sfgl = ph.sfgl;
-            for (const auto &fn : ph.skeleton->funcs) {
+            sfgl = &ph.sfgl;
+            for (const auto &fn : ph.skeleton.funcs) {
                 func_bodies.push_back(emitFunction(fn));
                 func_names.push_back(fn.name);
             }
@@ -258,7 +257,7 @@ class Emitter
         close();
     }
 
-    std::vector<EmitPhase> phases;
+    const std::vector<EmitPhase> &phases;
     const profile::Sfgl *sfgl = nullptr; ///< current phase's SFGL
     Rng &rng;
 
@@ -274,15 +273,7 @@ class Emitter
 } // namespace
 
 EmitResult
-emitC(const profile::Sfgl &sfgl, const Skeleton &skeleton, Rng &rng,
-      bool use_patterns)
-{
-    return Emitter({{&sfgl, &skeleton}}, rng, use_patterns).run();
-}
-
-EmitResult
-emitCPhases(const std::vector<EmitPhase> &phases, Rng &rng,
-            bool use_patterns)
+emitC(const std::vector<EmitPhase> &phases, Rng &rng, bool use_patterns)
 {
     BSYN_ASSERT(!phases.empty(), "emitting a benchmark with no phases");
     return Emitter(phases, rng, use_patterns).run();

@@ -26,34 +26,26 @@ struct EmitResult
     PatternStats patternStats;
 };
 
-/**
- * Render the synthetic benchmark.
- *
- * @param sfgl the scaled-down SFGL (provides per-block code).
- * @param skeleton the structural skeleton.
- * @param rng the seeded generator (constants, obfuscation choices).
- * @param use_patterns see SynthesisOptions::usePatterns.
- */
-EmitResult emitC(const profile::Sfgl &sfgl, const Skeleton &skeleton,
-                 Rng &rng, bool use_patterns = true);
-
-/** One phase's inputs to the stitched emitter. Pointees must outlive
- *  the emitC call. */
+/** One phase of a clone: its scaled-down SFGL, which provides the
+ *  per-block code, and its skeleton. */
 struct EmitPhase
 {
-    const profile::Sfgl *sfgl = nullptr;
-    const Skeleton *skeleton = nullptr;
+    profile::Sfgl sfgl;
+    Skeleton skeleton;
 };
 
 /**
- * Render a phase-aware benchmark: one skeleton per phase, stitched into
+ * Render the synthetic benchmark: one skeleton per phase, stitched into
  * a single file behind one main() that drives the phases in profile
- * order. All phases share one stream plan, one pattern generator and
- * one rng, so memory behaviour stays consistent across the file and a
- * one-phase call is byte-identical to emitC.
+ * order; an aggregate clone is one phase. All phases share one stream
+ * plan, one pattern generator and one rng, so memory behaviour stays
+ * consistent across the file.
+ *
+ * @param rng the seeded generator (constants, obfuscation choices).
+ * @param use_patterns see SynthesisOptions::usePatterns.
  */
-EmitResult emitCPhases(const std::vector<EmitPhase> &phases, Rng &rng,
-                       bool use_patterns = true);
+EmitResult emitC(const std::vector<EmitPhase> &phases, Rng &rng,
+                 bool use_patterns = true);
 
 } // namespace bsyn::synth
 

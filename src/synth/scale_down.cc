@@ -1,8 +1,6 @@
 #include "synth/scale_down.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <set>
 
 #include "support/error.hh"
 
@@ -41,24 +39,10 @@ scaleDown(const Sfgl &sfgl, uint64_t reduction_factor)
     // iterations absorb whatever the entry count could not.
     std::vector<SfglLoop> kept_loops;
     for (auto l : out.loops) {
-        const SfglBlock &header =
-            out.blocks[static_cast<size_t>(l.header)];
-        if (header.execCount == 0)
+        if (out.blocks[static_cast<size_t>(l.header)].execCount == 0)
             continue; // entire loop dropped
-        std::set<int> members(l.blocks.begin(), l.blocks.end());
-        uint64_t entries = 0;
-        for (const auto &b : out.blocks) {
-            if (members.count(b.id))
-                continue;
-            for (const auto &e : b.succs)
-                if (e.to == l.header)
-                    entries += e.count;
-        }
-        if (entries == 0)
-            entries = 1; // outer scaling exhausted: keep one entry
-        l.entries = entries;
-        l.avgIterations = std::max(
-            1.0, double(header.execCount) / double(entries));
+        out.countEntries(l);
+        l.avgIterations = std::max(1.0, l.avgIterations);
         kept_loops.push_back(std::move(l));
     }
     out.loops = std::move(kept_loops);

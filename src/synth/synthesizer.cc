@@ -30,44 +30,25 @@ generateOnce(const profile::StatisticalProfile &prof, uint64_t r,
     syn.name = prof.workloadName + "_syn";
     syn.reductionFactor = r;
 
-    bool multi = opts.phaseAware && prof.multiPhase() &&
-                 prof.phases.size() <= kMaxPhases;
-    if (!multi) {
-        // Aggregate path — code-identical to pre-phase synthesis, so
-        // single-phase workloads keep producing byte-identical clones.
-        profile::Sfgl scaled = scaleDown(prof.sfgl, r);
-        Skeleton skeleton =
-            buildSkeleton(scaled, rng, {"f", opts.useLoopInfo});
-        EmitResult emitted = emitC(scaled, skeleton, rng, opts.usePatterns);
-        syn.cSource = std::move(emitted.source);
-        syn.patternStats = emitted.patternStats;
-        return syn;
-    }
-
-    // Phase-aware path: every phase is scaled by the same global R (the
+    // Phase-aware synthesis scales every phase by the same global R (the
     // phase instruction counts sum to the aggregate, so the clone's
     // total budget — and the calibration ladder tuning it — is
-    // unchanged), then gets its own skeleton, stitched into one file
-    // behind a main() that drives the phases in profile order.
-    std::vector<profile::Sfgl> scaled;
-    scaled.reserve(prof.phases.size());
-    for (const auto &ph : prof.phases)
-        scaled.push_back(scaleDown(ph.sfgl, r));
-
-    std::vector<Skeleton> skeletons;
-    skeletons.reserve(scaled.size());
-    for (size_t i = 0; i < scaled.size(); ++i)
-        skeletons.push_back(buildSkeleton(
-            scaled[i], rng,
-            {"p" + std::to_string(i) + "f", opts.useLoopInfo}));
-
-    std::vector<EmitPhase> phases(scaled.size());
-    for (size_t i = 0; i < scaled.size(); ++i)
-        phases[i] = {&scaled[i], &skeletons[i]};
-    EmitResult emitted = emitCPhases(phases, rng, opts.usePatterns);
+    // unchanged) and gives each its own skeleton, stitched into one
+    // file behind a main() that drives the phases in profile order. An
+    // aggregate clone is the one-phase case, with prefix "f".
+    bool multi = opts.phaseAware && prof.multiPhase() &&
+                 prof.phases.size() <= kMaxPhases;
+    std::vector<EmitPhase> phases(multi ? prof.phases.size() : 1);
+    for (size_t i = 0; i < phases.size(); ++i) {
+        phases[i].sfgl = scaleDown(multi ? prof.phases[i].sfgl : prof.sfgl, r);
+        phases[i].skeleton = buildSkeleton(
+            phases[i].sfgl, rng,
+            {multi ? "p" + std::to_string(i) + "f" : "f", opts.useLoopInfo});
+    }
+    EmitResult emitted = emitC(phases, rng, opts.usePatterns);
 
     syn.cSource = std::move(emitted.source);
-    syn.phases = static_cast<uint32_t>(prof.phases.size());
+    syn.phases = static_cast<uint32_t>(phases.size());
     syn.patternStats = emitted.patternStats;
     return syn;
 }

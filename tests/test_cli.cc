@@ -522,4 +522,45 @@ TEST_F(Cli, ProfileWithANegativeCountExitsOneNamingTheField)
     EXPECT_FALSE(std::filesystem::exists(path("clone.c")));
 }
 
+TEST_F(Cli, SeedsAJobFileCannotHoldExitOne)
+{
+    // A job file holds numbers as doubles: submit used to write seed
+    // 2^53 + 1 as 2^53, and 2^64 - 1 as 1.8446744073709552e+19.
+    for (std::string seed : {"9007199254740993", "18446744073709551615"}) {
+        Outcome o = run({"submit", "synth", "crc32/small", "--spool",
+                         "spool", "--seed", seed});
+        EXPECT_EQ(o.code, 1) << o.err;
+        EXPECT_NE(o.err.find("seed " + seed + " is not below 2^53"),
+                  std::string::npos)
+            << o.err;
+        EXPECT_TRUE(std::filesystem::is_empty(path("spool/new")));
+    }
+    // Replay's spool jobs and report carry the seed too.
+    Outcome o = run({"replay", "--mix", "crc32/small", "--duration", "0.5",
+                     "--seed", "9007199254740993", "-o", "report.json"});
+    EXPECT_EQ(o.code, 1) << o.err;
+    EXPECT_NE(o.err.find("replay: seed 9007199254740993 is not below 2^53"),
+              std::string::npos)
+        << o.err;
+    EXPECT_FALSE(std::filesystem::exists(path("report.json")));
+}
+
+TEST_F(Cli, AJobWithCountsOutOfRangeFailsWhereItUsedToRun)
+{
+    // Seed -1 and a budget of 1e300 used to be cast to integers
+    // (undefined behaviour) and served "ok".
+    std::filesystem::create_directories(path("spool/new"));
+    writeFile(path("spool/new/hand.json"),
+              R"({"schema": "bsyn.job.v1", "id": "hand", "kind": "synth", )"
+              R"("workload": "crc32/small", "seed": -1, )"
+              R"("targetInstr": 1e300, "timing": false})");
+    Outcome o = run({"serve", "--spool", "spool", "--drain"});
+    EXPECT_EQ(o.code, 0) << o.err;
+    Json status = Json::parse(readFile(path("spool/done/hand.json")));
+    EXPECT_FALSE(status.get("ok").asBool());
+    EXPECT_NE(status.get("error").asString().find("seed: -1 is not a count"),
+              std::string::npos)
+        << status.dump();
+}
+
 } // namespace

@@ -116,6 +116,52 @@ TEST(Spool, JobJsonRoundTrips)
     EXPECT_EQ(back.timing, job.timing);
 }
 
+/** The FatalError @p fn raises ("" when it returns). */
+template <typename Fn>
+std::string
+fatalError(Fn fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Spool, JobSeedsAndBudgetsSurviveTheJobFile)
+{
+    // A job file holds numbers as doubles: seed 2^53 + 1 used to be
+    // written as 2^53, and a hand-written seed of -1 or a budget of
+    // 1e300 was served.
+    ScratchDir dir("spool_counts");
+    serve::Spool spool(dir.sub("spool"));
+    serve::Job job = synthJob("big", "crc32/small");
+    job.seed = (uint64_t(1) << 53) + 1;
+    EXPECT_EQ(fatalError([&] { spool.submit(job); }),
+              "fatal: job 'big': seed 9007199254740993 is not below 2^53");
+    job.seed = 1;
+    job.targetInstr = ~uint64_t(0);
+    EXPECT_EQ(fatalError([&] { spool.submit(job); }),
+              "fatal: job 'big': targetInstr 18446744073709551615 is not "
+              "below 2^53");
+    EXPECT_TRUE(spool.pending().empty());
+
+    job.seed = job.targetInstr = (uint64_t(1) << 53) - 1;
+    serve::Job back = serve::Job::fromJson(job.toJson());
+    EXPECT_EQ(back.seed, job.seed);
+    EXPECT_EQ(back.targetInstr, job.targetInstr);
+
+    const std::pair<const char *, double> bad[] = {
+        {"seed", -1}, {"seed", 1.5}, {"targetInstr", 1e300}};
+    for (const auto &[key, value] : bad) {
+        Json j = synthJob("hand", "crc32/small").toJson();
+        j.set(key, Json(value));
+        EXPECT_EQ(fatalError([&] { serve::Job::fromJson(j); }),
+                  strprintf("fatal: %s: %g is not a count", key, value));
+    }
+}
+
 TEST(Worker, JobRoundTripMatchesDirectSessionRun)
 {
     ScratchDir dir("serve_roundtrip");

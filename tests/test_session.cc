@@ -15,6 +15,7 @@
 #include "pipeline/run_sink.hh"
 #include "pipeline/session.hh"
 #include "support/error.hh"
+#include "support/json.hh"
 #include "support/string_util.hh"
 
 namespace fs = std::filesystem;
@@ -73,6 +74,16 @@ TEST(ArtifactCache, KeysSeparatePartsAndStages)
     EXPECT_NE(k1, k2);
     EXPECT_NE(k1, k3);
     EXPECT_EQ(k1, pipeline::ArtifactCache::key("s", {"ab", "c"}));
+}
+
+TEST(ArtifactCache, KeyFramingIsPinned)
+{
+    // Each part framed by its length as 8 big-endian bytes: a change to
+    // the framing would re-key every cache directory already written.
+    EXPECT_EQ(pipeline::ArtifactCache::key(
+                  "profile", {"int main() { return 0; }", "-O2"}),
+              "0350063954e640f8e29e7f8a147606b301ba1f3c639bf8b3b2c5fa5252fa"
+              "859a");
 }
 
 TEST(ArtifactCache, RoundTripsAndDisabledCacheMisses)
@@ -231,6 +242,49 @@ TEST(Session, CorruptCacheEntriesCountAsMissesAndAreRecomputed)
     EXPECT_EQ(session.metrics().counter("pipeline.cache.corrupt").value(), 0u);
     EXPECT_EQ(warm.profile.serialize(), cold.profile.serialize());
     EXPECT_EQ(warm.synthetic.cSource, cold.synthetic.cSource);
+}
+
+TEST(Session, SynthEntriesWithBadCountsAreCorrupt)
+{
+    // A reduction factor of -1 used to be served as R = 2^64 - 1.
+    ScratchDir dir("corrupt_counts");
+    const auto &w = workloads::findWorkload("crc32/small");
+    pipeline::SessionOptions so;
+    so.cacheDir = dir.str();
+    so.threads = 1;
+    pipeline::WorkloadRun cold =
+        pipeline::Session(so).process(w, fastOptions());
+    std::string entry, text;
+    for (const auto &e : fs::recursive_directory_iterator(dir.str()))
+        if (e.is_regular_file() &&
+            readFile(e.path().string()).find("\"cSource\"") !=
+                std::string::npos)
+            entry = e.path().string();
+    ASSERT_FALSE(entry.empty());
+    text = readFile(entry);
+
+    const std::pair<const char *, Json> bad[] = {
+        {"reductionFactor", Json(-1)},
+        {"reductionFactor", Json(1.5)},
+        {"phases", Json(0)},
+        {"phases", Json(uint64_t(1) << 32)}};
+    for (const auto &[key, value] : bad) {
+        SCOPED_TRACE(std::string(key) + " = " + value.dump());
+        Json j = Json::parse(text);
+        j.set(key, value);
+        writeFile(entry, j.dump(2));
+        pipeline::RunStatus st;
+        pipeline::Session session(so);
+        auto run = session.process(w, fastOptions(), &st);
+        EXPECT_TRUE(st.profileCached);
+        EXPECT_FALSE(st.synthCached);
+        EXPECT_EQ(session.metrics().counter("pipeline.cache.corrupt").value(),
+                  1u);
+        EXPECT_EQ(run.synthetic.reductionFactor,
+                  cold.synthetic.reductionFactor);
+        EXPECT_EQ(run.synthetic.cSource, cold.synthetic.cSource);
+        EXPECT_EQ(readFile(entry), text);
+    }
 }
 
 TEST(Session, DecodeCacheMemoizesCalibrationMeasurements)

@@ -182,6 +182,19 @@ TEST(FilterShard, ShardsAreADisjointCoverInBatchOrder)
     EXPECT_NE(serve::suiteHashOf(all), serve::suiteHashOf(fewer));
 }
 
+TEST(FilterShard, SuiteHashIsPinned)
+{
+    // Each name framed by its length as 8 big-endian bytes: a change to
+    // the framing would stop shards of older binaries from merging.
+    std::vector<workloads::Workload> names = {
+        workloads::findWorkload("crc32/small"),
+        workloads::findWorkload("bitcount/small"),
+        workloads::findWorkload("stringsearch/small")};
+    EXPECT_EQ(serve::suiteHashOf(names),
+              "c8add314b898bd151baa92283686d35c1d69a71c7f4b58f9d07fc0d8ca3e"
+              "5792");
+}
+
 TEST(SuiteStatus, RoundTripsThroughJson)
 {
     serve::ShardedBatch b = serve::filterShard(smallBatch(), {2, 2});
@@ -452,6 +465,75 @@ TEST(ShardMerge, FidelityMergeRejectsAShardFieldOfTheWrongKind)
     EXPECT_EQ(fidelityMergeError(reports),
               "fatal: fidelity merge: input 1: shard.count: 1.5 is not a "
               "count");
+}
+
+/** @p report with instance 0 replaced by @p edit(instance 0). */
+template <typename Edit>
+Json
+withFirstInstance(Json report, Edit edit)
+{
+    const Json &list = report.get("instances");
+    Json edited = Json::array();
+    for (size_t i = 0; i < list.size(); ++i)
+        edited.push(i == 0 ? edit(list.at(i)) : list.at(i));
+    report.set("instances", std::move(edited));
+    return report;
+}
+
+TEST(ShardMerge, FidelityMergeChecksEveryInstanceField)
+{
+    // Each used to panic in the DOM's kind check, fail without naming
+    // its input ("json: missing key 'metrics'"), or merge ("high").
+    auto withField = [](const char *key, Json value) {
+        return [key, value](Json inst) {
+            inst.set(key, value);
+            return inst;
+        };
+    };
+    auto withMetric = [](const char *field, Json value) {
+        return [field, value](Json inst) {
+            Json metrics = inst.get("metrics");
+            Json entry = metrics.get("mix.load");
+            entry.set(field, value);
+            metrics.set("mix.load", std::move(entry));
+            inst.set("metrics", std::move(metrics));
+            return inst;
+        };
+    };
+    auto withoutMetrics = [](const Json &inst) {
+        Json out = Json::object();
+        for (const auto &key : inst.keys())
+            if (key != "metrics")
+                out.set(key, inst.get(key));
+        return out;
+    };
+    auto withPhaseScore = [](Json inst) {
+        Json phases = inst.get("phases");
+        Json list = Json::array();
+        Json first = phases.get("perPhase").at(0);
+        first.set("clone", Json(-1));
+        list.push(std::move(first));
+        phases.set("perPhase", std::move(list));
+        inst.set("phases", std::move(phases));
+        return inst;
+    };
+    const std::string at = "fatal: fidelity merge: input 1: instances[0].";
+    auto expectError = [&](auto edit, const std::string &error) {
+        std::vector<Json> reports = fidelityHalves();
+        ASSERT_TRUE(reports[0].get("instances").at(0).get("ok").asBool());
+        reports[0] = withFirstInstance(reports[0], edit);
+        EXPECT_EQ(fidelityMergeError(reports), at + error);
+    };
+    expectError(withField("ok", Json(1)), "ok: not a boolean");
+    expectError(withField("phases", Json("none")), "phases: not an object");
+    expectError(withField("meanRelError", Json("high")),
+                "meanRelError: not a number");
+    expectError(withField("workload", Json(3)), "workload: not a string");
+    expectError(withMetric("relError", Json("x")),
+                "metrics.mix.load.relError: not a number");
+    expectError(withoutMetrics, "metrics: missing");
+    expectError(withPhaseScore,
+                "phases.perPhase[0].clone: -1 is not a count");
 }
 
 } // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <filesystem>
+#include <set>
+#include <unistd.h>
+
 #include "support/error.hh"
 #include "support/hash.hh"
 #include "support/json.hh"
@@ -327,6 +332,22 @@ TEST(Sha256, StreamingMatchesOneShot)
     EXPECT_NE(sha256Hex(text), sha256Hex(text + "x"));
 }
 
+TEST(Json, CountsAreIntegersBelowTwoTo53)
+{
+    EXPECT_TRUE(isCount(0));
+    EXPECT_TRUE(isCount(0x1p53 - 1));
+    for (double v : {-1.0, 1.5, 0x1p53, 1e300, double(NAN)})
+        EXPECT_FALSE(isCount(v)) << v;
+    Json j = Json::parse(R"({"n": 7, "neg": -1})");
+    EXPECT_EQ(j.getCount("n"), 7u);
+    try {
+        j.getCount("neg");
+        ADD_FAILURE() << "-1 read as a count";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "fatal: neg: -1 is not a count");
+    }
+}
+
 TEST(Json, MissingKeyIsFatal)
 {
     Json obj = Json::object();
@@ -343,6 +364,39 @@ TEST(StringUtil, SplitTrimJoin)
     EXPECT_EQ(join({"a", "b"}, "-"), "a-b");
     EXPECT_TRUE(startsWith("foobar", "foo"));
     EXPECT_FALSE(startsWith("fo", "foo"));
+}
+
+TEST(StringUtil, PublishFileLeavesOnlyItsTarget)
+{
+    namespace fs = std::filesystem;
+    std::string dir = ::testing::TempDir() + "bsyn_publish_" +
+                      std::to_string(::getpid());
+    fs::remove_all(dir);
+    fs::create_directories(dir + "/dir/entry");
+    auto names = [&dir] {
+        std::set<std::string> out;
+        for (const auto &e : fs::directory_iterator(dir))
+            out.insert(e.path().filename().string());
+        return out;
+    };
+    publishFile(dir + "/a.json", "one");
+    publishFile(dir + "/a.json", "two");
+    EXPECT_EQ(readFile(dir + "/a.json"), "two");
+    EXPECT_EQ(names(), (std::set<std::string>{"a.json", "dir"}));
+
+    // A rename onto a directory fails: fatal, naming the target, and
+    // the temp file is gone.
+    try {
+        publishFile(dir + "/dir", "three");
+        ADD_FAILURE() << "publishing over a directory succeeded";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "cannot publish file '" + dir + "/dir'"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(names(), (std::set<std::string>{"a.json", "dir"}));
+    fs::remove_all(dir);
 }
 
 TEST(StringUtil, Strprintf)
